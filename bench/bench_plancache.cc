@@ -192,6 +192,13 @@ int Run() {
   // Identity is a correctness claim: a cached plan that computes something
   // different from a cold compile fails at every scale, smoke included.
   if (!identical) return 1;
+  for (const std::string& sql :
+       {workloads[0].cold_sql, workloads[0].execute}) {
+    if (Status st = obs.TraceQuery(&db, sql); !st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
+  }
   if (Status st = report.Write(); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;

@@ -341,6 +341,11 @@ int Run() {
   }
 
   if (!deterministic) return 1;
+  if (Status st = obs.TraceQuery(&db, "SELECT * FROM sys.columns");
+      !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 1;
+  }
   if (Status st = report.Write(); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;

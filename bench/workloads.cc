@@ -24,6 +24,13 @@ BenchObs::~BenchObs() {
   }
 }
 
+Status BenchObs::TraceQuery(Database* db, const std::string& sql) {
+  if (tracer() == nullptr) return Status::OK();
+  QueryOptions options;
+  options.tracer = tracer();
+  return db->Query(sql, options).status();
+}
+
 bool BenchObs::Smoke() {
   return std::getenv("STARMAGIC_BENCH_SMOKE") != nullptr;
 }

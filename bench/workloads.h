@@ -25,6 +25,11 @@ class BenchObs {
 
   static bool Smoke();
 
+  /// When tracing, runs `sql` once more with the tracer attached, so the
+  /// trace holds that query's spans; a no-op otherwise. For benches whose
+  /// timed loops run untraced.
+  Status TraceQuery(Database* db, const std::string& sql);
+
   /// Exit code for a reproduction claim: failures are forgiven in smoke
   /// mode (tiny scales cannot reproduce the paper's ratios).
   int Verdict(bool pass) const { return pass || Smoke() ? 0 : 1; }

@@ -18,6 +18,11 @@ Usage:
       increase beyond --threshold percent (default 0) is a regression and
       the exit code is 1. Wall times are machine-noisy and only reported.
 
+  bench_report.py --self-test
+      Feed every off/on pair rule (PAIR_RULES) injected work/rows
+      divergences and over-budget wall times; exit 1 unless each verdict
+      is the expected one.
+
   bench_report.py --summary DIR
       Consolidate DIR's per-bench files into DIR/BENCH_summary.json:
       one headline entry per bench (scale, smoke, sample/workload counts,
@@ -28,7 +33,9 @@ Usage:
 """
 
 import argparse
+import contextlib
 import glob
+import io
 import json
 import os
 import re
@@ -99,14 +106,9 @@ def validate_file(path):
                               "non-negative number")
     if not check_thread_invariance(path, samples):
         return False
-    if not check_governor_overhead(path, samples, doc["smoke"]):
-        return False
-    if not check_registry_overhead(path, samples, doc["smoke"]):
-        return False
-    if not check_progress_overhead(path, samples, doc["smoke"]):
-        return False
-    if not check_plan_cache_identity(path, samples, doc["smoke"]):
-        return False
+    for rule in PAIR_RULES:
+        if not check_pair_rule(path, samples, doc["smoke"], rule):
+            return False
     print(f"{path}: ok ({doc['bench']}, {len(samples)} samples, "
           f"scale={doc['scale']}, smoke={doc['smoke']})")
     return True
@@ -133,166 +135,127 @@ def check_thread_invariance(path, samples):
     return True
 
 
-def check_governor_overhead(path, samples, smoke):
-    """Samples that only differ in the 'governor=off' / 'governor=on'
-    strategy must report identical total_work and rows — attaching a
-    governor may never change what a query computes — and the governed
-    wall time may exceed the ungoverned one by at most 2%. The wall gate
-    is informational at smoke scale, where runs are too short to measure
-    2% of anything, and applies only to single-thread cells ('..._t1'):
-    multi-thread cells are gated by the bench binary itself, which knows
-    the machine's hardware concurrency; this validator may run on a
-    different machine, where an oversubscribed cell's wall time measures
-    the scheduler rather than the accounting. The work/rows identity
-    fails at every scale and every thread count."""
+# Off/on strategy pairs: samples of one workload that differ only in a
+# feature being off or on. (off label, on label, wall budget, noun):
+#   * total_work and rows must be identical at every scale and thread count
+#     — attaching the feature may never change what a query computes;
+#   * with a budget, the 'on' wall time may exceed the 'off' one by at most
+#     that fraction. The gate is informational at smoke scale, where runs
+#     are too short to measure a few percent of anything, and applies only
+#     to single-thread cells ('..._t1'): multi-thread cells are gated by
+#     the bench binary itself, which knows the machine's hardware
+#     concurrency, whereas this validator may run on a machine where an
+#     oversubscribed cell measures the scheduler, not the feature;
+#   * without a budget the pair is identity-only. Its 'on' side is expected
+#     to be faster (a cached plan skips compilation; the bench binary gates
+#     that speedup), so a slower 'on' side is only a note, and only at full
+#     scale.
+PAIR_RULES = [
+    ("governor=off", "governor=on", 0.02, "governor"),
+    ("registry=off", "registry=on", 0.01, "registry"),
+    ("progress=off", "progress=on", 0.01, "progress-tracking"),
+    ("plan_cache=cold", "plan_cache=cached", None, "plan-cache"),
+]
+
+
+def check_pair_rule(path, samples, smoke, rule):
+    """Applies one PAIR_RULES entry to a report's samples (see above)."""
+    off_label, on_label, budget, noun = rule
     by_workload = {}
     for s in samples:
-        if s["strategy"] in ("governor=off", "governor=on"):
+        if s["strategy"] in (off_label, on_label):
             by_workload.setdefault(s["workload"], {})[s["strategy"]] = s
     ok = True
     for workload, pair in sorted(by_workload.items()):
         if len(pair) != 2:
-            ok = fail(path, f"workload '{workload}': need both governor=off "
-                            "and governor=on samples to compare")
+            ok = fail(path, f"workload '{workload}': need both {off_label} "
+                            f"and {on_label} samples to compare")
             continue
-        off, on = pair["governor=off"], pair["governor=on"]
+        off, on = pair[off_label], pair[on_label]
         for field in ("total_work", "rows"):
             if off[field] != on[field]:
-                ok = fail(path, f"workload '{workload}': {field} changes "
-                                f"under the governor ({off[field]} vs "
-                                f"{on[field]})")
-        multi_threaded = re.search(r"_t(\d+)$", workload) is not None and \
-            not workload.endswith("_t1")
-        if off["wall_ms"] > 0 and not multi_threaded:
-            overhead = (on["wall_ms"] - off["wall_ms"]) / off["wall_ms"]
-            if overhead > 0.02:
-                msg = (f"workload '{workload}': governor overhead "
-                       f"{overhead * 100:.1f}% exceeds the 2% budget")
-                if smoke:
-                    print(f"{path}: note: {msg} (informational at smoke "
-                          "scale)")
-                else:
-                    ok = fail(path, msg)
-    return ok
-
-
-def check_registry_overhead(path, samples, smoke):
-    """Samples that only differ in the 'registry=off' / 'registry=on'
-    strategy (bench_systables) must report identical total_work and
-    rows — a system-table registry that is attached but never queried
-    may not change what any query computes — and the attached wall time
-    may exceed the detached one by at most 1%. As with the governor
-    gate, the wall comparison is informational at smoke scale and
-    applies only to single-thread cells ('..._t1'); multi-thread cells
-    are gated by the bench binary, which knows the machine's hardware
-    concurrency. The work/rows identity fails at every scale and every
-    thread count."""
-    by_workload = {}
-    for s in samples:
-        if s["strategy"] in ("registry=off", "registry=on"):
-            by_workload.setdefault(s["workload"], {})[s["strategy"]] = s
-    ok = True
-    for workload, pair in sorted(by_workload.items()):
-        if len(pair) != 2:
-            ok = fail(path, f"workload '{workload}': need both registry=off "
-                            "and registry=on samples to compare")
-            continue
-        off, on = pair["registry=off"], pair["registry=on"]
-        for field in ("total_work", "rows"):
-            if off[field] != on[field]:
-                ok = fail(path, f"workload '{workload}': {field} changes "
-                                f"with the system-table registry attached "
+                ok = fail(path, f"workload '{workload}': {field} differs "
+                                f"between {off_label} and {on_label} "
                                 f"({off[field]} vs {on[field]})")
+        if off["wall_ms"] <= 0:
+            continue
+        if budget is None:
+            if on["wall_ms"] > off["wall_ms"] and not smoke:
+                print(f"{path}: note: workload '{workload}': {on_label} "
+                      f"({on['wall_ms']}ms) slower than {off_label} "
+                      f"({off['wall_ms']}ms)")
+            continue
         multi_threaded = re.search(r"_t(\d+)$", workload) is not None and \
             not workload.endswith("_t1")
-        if off["wall_ms"] > 0 and not multi_threaded:
-            overhead = (on["wall_ms"] - off["wall_ms"]) / off["wall_ms"]
-            if overhead > 0.01:
-                msg = (f"workload '{workload}': registry overhead "
-                       f"{overhead * 100:.1f}% exceeds the 1% budget")
-                if smoke:
-                    print(f"{path}: note: {msg} (informational at smoke "
-                          "scale)")
-                else:
-                    ok = fail(path, msg)
+        overhead = (on["wall_ms"] - off["wall_ms"]) / off["wall_ms"]
+        if overhead > budget and not multi_threaded:
+            msg = (f"workload '{workload}': {noun} overhead "
+                   f"{overhead * 100:.1f}% exceeds the "
+                   f"{budget * 100:g}% budget")
+            if smoke:
+                print(f"{path}: note: {msg} (informational at smoke scale)")
+            else:
+                ok = fail(path, msg)
     return ok
 
 
-def check_progress_overhead(path, samples, smoke):
-    """Samples that only differ in the 'progress=off' / 'progress=on'
-    strategy (bench_systables) must report identical total_work and
-    rows — a live-progress tracker that is attached but never scraped may
-    not change what any query computes — and the tracked wall time may
-    exceed the untracked one by at most 1%. As with the registry gate,
-    the wall comparison is informational at smoke scale and applies only
-    to single-thread cells ('..._t1'); multi-thread cells are gated by
-    the bench binary, which knows the machine's hardware concurrency.
-    The work/rows identity fails at every scale and every thread count."""
-    by_workload = {}
-    for s in samples:
-        if s["strategy"] in ("progress=off", "progress=on"):
-            by_workload.setdefault(s["workload"], {})[s["strategy"]] = s
-    ok = True
-    for workload, pair in sorted(by_workload.items()):
-        if len(pair) != 2:
-            ok = fail(path, f"workload '{workload}': need both progress=off "
-                            "and progress=on samples to compare")
-            continue
-        off, on = pair["progress=off"], pair["progress=on"]
-        for field in ("total_work", "rows"):
-            if off[field] != on[field]:
-                ok = fail(path, f"workload '{workload}': {field} changes "
-                                f"with progress tracking attached "
-                                f"({off[field]} vs {on[field]})")
-        multi_threaded = re.search(r"_t(\d+)$", workload) is not None and \
-            not workload.endswith("_t1")
-        if off["wall_ms"] > 0 and not multi_threaded:
-            overhead = (on["wall_ms"] - off["wall_ms"]) / off["wall_ms"]
-            if overhead > 0.01:
-                msg = (f"workload '{workload}': progress-tracking overhead "
-                       f"{overhead * 100:.1f}% exceeds the 1% budget")
-                if smoke:
-                    print(f"{path}: note: {msg} (informational at smoke "
-                          "scale)")
-                else:
-                    ok = fail(path, msg)
-    return ok
+def self_test():
+    """Feeds every PAIR_RULES entry synthetic off/on pairs and checks each
+    verdict: a work or rows divergence fails at every scale and thread
+    count, an over-budget wall time fails a budgeted rule only in a
+    full-scale single-thread cell, an identity-only rule never fails on
+    wall time, and a missing half of a pair fails."""
+    def sample(workload, strategy, wall_ms, work=100, rows=10):
+        return {"workload": workload, "strategy": strategy,
+                "total_work": work, "rows": rows, "wall_ms": wall_ms}
 
+    def verdict(rule, samples, smoke):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return check_pair_rule("<self-test>", samples, smoke, rule)
 
-def check_plan_cache_identity(path, samples, smoke):
-    """Samples that only differ in the 'plan_cache=cold' /
-    'plan_cache=cached' strategy (bench_plancache) must report identical
-    total_work and rows — executing a cached plan may never compute
-    anything different from a cold compile of the same statement. Unlike
-    the overhead gates this is pure identity with no wall budget: the
-    cached side is *expected* to be faster (it skips compilation), and
-    the bench binary gates that speedup itself at single-thread cells.
-    A cached run that is slower is reported as a note here — wall times
-    are machine-noisy and, at smoke scale, too short to mean anything —
-    but the work/rows identity fails at every scale and thread count."""
-    by_workload = {}
-    for s in samples:
-        if s["strategy"] in ("plan_cache=cold", "plan_cache=cached"):
-            by_workload.setdefault(s["workload"], {})[s["strategy"]] = s
-    ok = True
-    for workload, pair in sorted(by_workload.items()):
-        if len(pair) != 2:
-            ok = fail(path, f"workload '{workload}': need both "
-                            "plan_cache=cold and plan_cache=cached samples "
-                            "to compare")
-            continue
-        cold, cached = pair["plan_cache=cold"], pair["plan_cache=cached"]
-        for field in ("total_work", "rows"):
-            if cold[field] != cached[field]:
-                ok = fail(path, f"workload '{workload}': {field} diverges "
-                                f"between cold compile and cached plan "
-                                f"({cold[field]} vs {cached[field]})")
-        if cold["wall_ms"] > 0 and cached["wall_ms"] > cold["wall_ms"] \
-                and not smoke:
-            print(f"{path}: note: workload '{workload}': cached execution "
-                  f"({cached['wall_ms']}ms) slower than cold compile "
-                  f"({cold['wall_ms']}ms)")
-    return ok
+    errors = []
+
+    def expect(rule, what, samples, smoke, want_ok):
+        if verdict(rule, samples, smoke) != want_ok:
+            errors.append(f"{rule[0]}/{rule[1]}: {what} should "
+                          f"{'pass' if want_ok else 'fail'}")
+
+    for rule in PAIR_RULES:
+        off_label, on_label, budget, _ = rule
+        for workload in ("w_t1", "w_t4"):
+            for smoke in (False, True):
+                expect(rule, f"identical pair ({workload}, smoke={smoke})",
+                       [sample(workload, off_label, 10.0),
+                        sample(workload, on_label, 10.0)], smoke, True)
+                for field in ("work", "rows"):
+                    expect(rule, f"{field} divergence ({workload}, "
+                                 f"smoke={smoke})",
+                           [sample(workload, off_label, 10.0),
+                            sample(workload, on_label, 10.0,
+                                   **{field: 11})], smoke, False)
+                # Just past the budget, so a loosened threshold shows.
+                over = 10.0 * (1 + 1.5 * budget) if budget else 20.0
+                slow = [sample(workload, off_label, 10.0),
+                        sample(workload, on_label, over)]
+                gated = budget is not None and workload == "w_t1" \
+                    and not smoke
+                expect(rule, f"over-budget wall time ({workload}, "
+                             f"smoke={smoke})", slow, smoke, not gated)
+        expect(rule, "a missing half of the pair",
+               [sample("w_t1", off_label, 10.0)], False, False)
+        if budget is not None:
+            within = 10.0 * (1 + budget / 2)
+            expect(rule, "a wall time within budget",
+                   [sample("w_t1", off_label, 10.0),
+                    sample("w_t1", on_label, within)], False, True)
+    for e in errors:
+        print(f"self-test FAILED: {e}", file=sys.stderr)
+    if errors:
+        return 1
+    print(f"self-test ok ({len(PAIR_RULES)} pair rules, every injected "
+          "divergence and over-budget wall time caught)")
+    return 0
 
 
 def validate_summary(path, doc):
@@ -455,12 +418,19 @@ def main():
                              "(default 0: counters are deterministic)")
     parser.add_argument("--summary", metavar="DIR",
                         help="write and validate DIR/BENCH_summary.json")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check every off/on pair rule's verdicts on "
+                             "injected divergences and wall times")
     args = parser.parse_args()
 
-    modes = [bool(args.validate), bool(args.diff), bool(args.summary)]
+    modes = [bool(args.validate), bool(args.diff), bool(args.summary),
+             args.self_test]
     if sum(modes) != 1:
-        parser.error("exactly one of --validate / --diff / --summary "
-                     "is required")
+        parser.error("exactly one of --validate / --diff / --summary / "
+                     "--self-test is required")
+
+    if args.self_test:
+        return self_test()
 
     if args.validate:
         ok = all([validate_file(p) for p in args.validate])

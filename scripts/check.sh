@@ -15,6 +15,9 @@ python3 "${ROOT}/scripts/doc_check.py" --self-test
 echo "== metrics lint: OpenMetrics validator self-test =="
 python3 "${ROOT}/scripts/metrics_lint.py" --self-test
 
+echo "== bench report: off/on pair-rule self-test =="
+python3 "${ROOT}/scripts/bench_report.py" --self-test
+
 cmake -B "${BUILD}" -S "${ROOT}" -DSTARMAGIC_SANITIZE=ON
 cmake --build "${BUILD}" -j "$(nproc)"
 

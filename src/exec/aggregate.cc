@@ -27,7 +27,11 @@ Status Accumulator::Add(const Value& v) {
       ++count_;
       if (v.kind() == ValueKind::kDouble) sum_is_double_ = true;
       sum_ += v.AsDouble();
-      if (v.kind() == ValueKind::kInt) sum_int_ += v.int_value();
+      // Only an integer SUM returns sum_int_; AVG divides the double sum.
+      if (func_ == AggFunc::kSum && v.kind() == ValueKind::kInt &&
+          __builtin_add_overflow(sum_int_, v.int_value(), &sum_int_)) {
+        return Status::ExecutionError("integer overflow");
+      }
       break;
     }
     case AggFunc::kMin:

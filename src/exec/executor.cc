@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 
 #include "common/string_util.h"
 #include "exec/aggregate.h"
@@ -22,6 +21,18 @@ namespace {
 int64_t ComboBytes(const std::vector<const Row*>& combo) {
   return static_cast<int64_t>(sizeof(std::vector<const Row*>) +
                               combo.size() * sizeof(const Row*));
+}
+
+// True when every predicate is TRUE under `env`. Evaluation stops at the
+// first one that is not; `probes`, when set, counts each one evaluated.
+Result<bool> AllTrue(const std::vector<const Expr*>& preds, const RowEnv& env,
+                     int64_t* probes) {
+  for (const Expr* p : preds) {
+    if (probes != nullptr) ++*probes;
+    SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*p, env));
+    if (v != TriBool::kTrue) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -75,51 +86,123 @@ Executor::~Executor() {
   }
 }
 
-Status Executor::ParallelAppend(
-    int64_t n,
-    const std::function<Status(int64_t begin, int64_t end, ComboVec* out,
-                               ExecStats* stats)>& body,
-    ComboVec* next, int64_t* charged_bytes) {
-  const int64_t morsel_size = std::max<int64_t>(1, options_.morsel_size);
-  const int64_t num_morsels = (n + morsel_size - 1) / morsel_size;
-  std::vector<ComboVec> buffers(static_cast<size_t>(num_morsels));
-  std::vector<ExecStats> worker_stats(
-      static_cast<size_t>(pool_->num_threads()));
-  ResourceGovernor* gov = options_.governor;
-  std::atomic<int64_t> charged{0};
-  Status status = pool_->ForEachMorsel(
-      n, morsel_size,
-      [&](int64_t morsel, int64_t begin, int64_t end, int worker) {
-        ComboVec* out = &buffers[static_cast<size_t>(morsel)];
-        SM_RETURN_IF_ERROR(body(begin, end, out,
-                                &worker_stats[static_cast<size_t>(worker)]));
-        if (gov != nullptr) {
-          // Charge this morsel's buffer as it completes. Within the step
-          // reservations only grow and the per-combo charge is
-          // content-based, so the step's byte total — and thus the
-          // governor's peak — is identical at any thread count.
-          int64_t bytes = 0;
-          for (const auto& combo : *out) bytes += ComboBytes(combo);
-          charged.fetch_add(bytes, std::memory_order_relaxed);
-          SM_RETURN_IF_ERROR(gov->Reserve(bytes));
-        }
-        return Status::OK();
-      });
-  *charged_bytes += charged.load(std::memory_order_relaxed);
-  // Merge worker counters even on error, mirroring the partial counts a
-  // failing sequential loop leaves behind (totals only matter on success).
-  for (const ExecStats& ws : worker_stats) stats_.MergeFrom(ws);
-  SM_RETURN_IF_ERROR(status);
-  size_t total = next->size();
-  for (const ComboVec& buffer : buffers) total += buffer.size();
-  if (static_cast<int64_t>(total) > options_.max_rows_per_box) {
-    return Status::ExecutionError("row limit exceeded during join");
+struct Executor::JoinStep {
+  const ComboVec& current;        ///< outer combinations
+  const std::vector<int>& bound;  ///< quantifier ids, parallel to slots
+  const RowEnv& box_env;          ///< environment the combinations extend
+  ComboVec next{};                ///< combinations the step keeps
+  int64_t next_bytes = 0;         ///< governor bytes charged for `next`
+};
+
+template <typename Body>
+Status Executor::RunStep(JoinStep* step, int64_t rows, bool parallel_ok,
+                         const Body& body) {
+  const int64_t combos = static_cast<int64_t>(step->current.size());
+  auto run = [&](int64_t cb, int64_t ce, int64_t rb, int64_t re,
+                 ComboVec* out, ExecStats* stats) -> Status {
+    RowEnv env(&step->box_env);
+    for (int64_t ci = cb; ci < ce; ++ci) {
+      const Combo& combo = step->current[static_cast<size_t>(ci)];
+      for (size_t i = 0; i < step->bound.size(); ++i) {
+        env.Bind(step->bound[i], combo[i]);
+      }
+      SM_RETURN_IF_ERROR(body(combo, &env, rb, re, out, stats));
+    }
+    return Status::OK();
+  };
+  ResourceGovernor* const gov = options_.governor;
+  const bool split_rows = combos < rows;
+  if (pool_ == nullptr || !parallel_ok ||
+      (split_rows ? rows : combos) <= options_.morsel_size) {
+    SM_RETURN_IF_ERROR(run(0, combos, 0, rows, &step->next, &stats_));
+    if (gov != nullptr) {
+      int64_t bytes = 0;
+      for (const Combo& combo : step->next) bytes += ComboBytes(combo);
+      step->next_bytes += bytes;
+      SM_RETURN_IF_ERROR(gov->Reserve(bytes));
+    }
+    return Status::OK();
   }
-  next->reserve(total);
-  for (ComboVec& buffer : buffers) {
-    for (auto& combo : buffer) next->push_back(std::move(combo));
+
+  // Morsel side: `range(begin, end, out, stats)` covers one morsel of an
+  // axis of length n. The pool's per-morsel call is the only type-erased
+  // one; bodies stay statically dispatched per combination.
+  auto morsels = [&](int64_t n, const auto& range) -> Status {
+    const int64_t morsel_size = std::max<int64_t>(1, options_.morsel_size);
+    std::vector<ComboVec> buffers(
+        static_cast<size_t>((n + morsel_size - 1) / morsel_size));
+    std::vector<ExecStats> worker_stats(
+        static_cast<size_t>(pool_->num_threads()));
+    std::atomic<int64_t> charged{0};
+    Status status = pool_->ForEachMorsel(
+        n, morsel_size,
+        [&](int64_t morsel, int64_t begin, int64_t end, int worker) {
+          ComboVec* out = &buffers[static_cast<size_t>(morsel)];
+          SM_RETURN_IF_ERROR(range(begin, end, out,
+                                   &worker_stats[static_cast<size_t>(worker)]));
+          if (gov != nullptr) {
+            // Charge this morsel's buffer as it completes. Within the step
+            // reservations only grow and the per-combo charge is
+            // content-based, so the step's byte total — and thus the
+            // governor's peak — is identical at any thread count.
+            int64_t bytes = 0;
+            for (const Combo& combo : *out) bytes += ComboBytes(combo);
+            charged.fetch_add(bytes, std::memory_order_relaxed);
+            SM_RETURN_IF_ERROR(gov->Reserve(bytes));
+          }
+          return Status::OK();
+        });
+    step->next_bytes += charged.load(std::memory_order_relaxed);
+    // Merge worker counters even on error, mirroring the partial counts a
+    // failing inline loop leaves behind (totals only matter on success).
+    for (const ExecStats& ws : worker_stats) stats_.MergeFrom(ws);
+    SM_RETURN_IF_ERROR(status);
+    size_t total = step->next.size();
+    for (const ComboVec& buffer : buffers) total += buffer.size();
+    if (static_cast<int64_t>(total) > options_.max_rows_per_box) {
+      return Status::ExecutionError("row limit exceeded during join");
+    }
+    step->next.reserve(total);
+    for (ComboVec& buffer : buffers) {
+      for (Combo& combo : buffer) step->next.push_back(std::move(combo));
+    }
+    return Status::OK();
+  };
+  if (!split_rows) {
+    return morsels(combos, [&](int64_t b, int64_t e, ComboVec* out,
+                               ExecStats* stats) {
+      return run(b, e, 0, rows, out, stats);
+    });
+  }
+  // Input rows dominate (typically a scan under the single empty
+  // combination): one barrier per combination.
+  for (int64_t ci = 0; ci < combos; ++ci) {
+    SM_RETURN_IF_ERROR(morsels(rows, [&](int64_t b, int64_t e, ComboVec* out,
+                                         ExecStats* stats) {
+      return run(ci, ci + 1, b, e, out, stats);
+    }));
   }
   return Status::OK();
+}
+
+Result<bool> Executor::EmitIfKept(const Combo& combo, const Row* row, int qid,
+                                  const std::vector<const Expr*>& filters,
+                                  bool count_filters, RowEnv* env,
+                                  ComboVec* out, ExecStats* stats) const {
+  env->Bind(qid, row);
+  SM_ASSIGN_OR_RETURN(
+      bool keep,
+      AllTrue(filters, *env, count_filters ? &stats->join_probes : nullptr));
+  if (!keep) return false;
+  Combo extended;
+  extended.reserve(combo.size() + 1);
+  extended.assign(combo.begin(), combo.end());
+  extended.push_back(row);
+  out->push_back(std::move(extended));
+  if (static_cast<int64_t>(out->size()) > options_.max_rows_per_box) {
+    return Status::ExecutionError("row limit exceeded during join");
+  }
+  return true;
 }
 
 namespace {
@@ -448,7 +531,7 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
   // source row of each bound ForEach quantifier. Rows from per-binding
   // (non-cached) evaluations are copied into `arena` for stable pointers.
   std::deque<Row> arena;
-  std::vector<std::vector<const Row*>> current;
+  ComboVec current;
   current.emplace_back();
   std::vector<int> bound;  // quantifier ids, parallel to entries' positions
 
@@ -463,6 +546,23 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
   int64_t arena_bytes = 0;
 
   std::set<int> seen;  // bound quantifier ids available to predicates
+
+  // A scalar subquery's value row under `at`: its one row, or all NULLs
+  // when it returns none; more rows are an error.
+  auto scalar_row = [&](Quantifier* q, const RowEnv& at) -> Result<Row> {
+    Table scratch;
+    SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, at, &scratch));
+    stats_.rows_scanned += t->num_rows();
+    if (t->num_rows() > 1) {
+      return Status::ExecutionError(
+          StrCat("scalar subquery '", q->input->label(),
+                 "' returned more than one row"));
+    }
+    return t->num_rows() == 1
+               ? t->rows()[0]
+               : Row(static_cast<size_t>(q->input->NumOutputs()),
+                     Value::Null());
+  };
 
   // Hoist scalar subqueries that do not depend on this box's quantifiers:
   // their value is fixed for the whole evaluation (grounded condition
@@ -483,19 +583,8 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
       per_row_scalars.push_back(q);
       continue;
     }
-    Table hoist_scratch;
-    SM_ASSIGN_OR_RETURN(const Table* t,
-                        EvalBox(q->input, box_env, &hoist_scratch));
-    stats_.rows_scanned += t->num_rows();
-    if (t->num_rows() > 1) {
-      return Status::ExecutionError(
-          StrCat("scalar subquery '", q->input->label(),
-                 "' returned more than one row"));
-    }
-    hoisted_rows.push_back(
-        t->num_rows() == 1
-            ? t->rows()[0]
-            : Row(static_cast<size_t>(q->input->NumOutputs()), Value::Null()));
+    SM_ASSIGN_OR_RETURN(Row row, scalar_row(q, box_env));
+    hoisted_rows.push_back(std::move(row));
     box_env.Bind(q->id, &hoisted_rows.back());
     seen.insert(q->id);
   }
@@ -559,54 +648,45 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
       if (!hashable) residual.push_back(f);
     }
 
-    // Probe-one-combo helper shared by the hash paths. Pure over shared
-    // state except for *stats/*next, which the parallel path points at
-    // per-worker/per-morsel storage — so the same body serves the
-    // sequential loop and the morsel-partitioned one.
-    auto probe_matches =
-        [&](const std::vector<const Row*>& combo, RowEnv* inner,
-            const JoinHashTable& table,
-            const std::function<const Row*(int)>& row_at,
-            std::vector<std::vector<const Row*>>* next,
-            ExecStats* stats) -> Status {
-      Row key;
-      key.reserve(hash_preds.size());
-      for (const HashPred& hp : hash_preds) {
-        SM_ASSIGN_OR_RETURN(Value v, EvalScalar(*hp.other_side, *inner));
-        key.push_back(std::move(v));
-      }
-      ++stats->join_probes;
-      const std::vector<int>* matches = table.Probe(key);
-      if (matches == nullptr) return Status::OK();
-      for (int ri : *matches) {
-        const Row* row = row_at(ri);
-        ++stats->rows_scanned;
-        inner->Bind(q->id, row);
-        bool keep = true;
-        for (const Expr* f : residual) {
-          SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*f, *inner));
-          if (v != TriBool::kTrue) {
-            keep = false;
-            break;
-          }
-        }
-        if (keep) {
-          auto combo2 = combo;
-          combo2.push_back(row);
-          next->push_back(std::move(combo2));
-          if (static_cast<int64_t>(next->size()) > options_.max_rows_per_box) {
-            return Status::ExecutionError("row limit exceeded during join");
-          }
-        }
-      }
-      inner->Unbind(q->id);
-      return Status::OK();
-    };
-
-    std::vector<std::vector<const Row*>> next;
-    int64_t next_bytes = 0;  // bytes charged for `next` (parallel paths)
+    JoinStep step{current, bound, box_env};
     int64_t step_build_bytes = 0;  // hash build table, released at step end
     bool step_done = false;
+
+    // The probe steps (hash table or secondary index): per combination,
+    // build the key from `key_exprs` over the bound quantifiers and count
+    // one probe; `lookup` returns the candidate row ids (an index fills
+    // the per-combination `ids`), each fetched through `row_at` and
+    // counted before EmitIfKept checks `keep_filters`.
+    auto probe_step = [&](const std::vector<const Expr*>& key_exprs,
+                          const std::vector<const Expr*>& keep_filters,
+                          int64_t ExecStats::*probes,
+                          int64_t ExecStats::*fetches, const auto& lookup,
+                          const auto& row_at) -> Status {
+      return RunStep(
+          &step, 0, /*parallel_ok=*/true,
+          [&](const Combo& combo, RowEnv* inner, int64_t, int64_t,
+              ComboVec* out, ExecStats* stats) -> Status {
+            Row key;
+            key.reserve(key_exprs.size());
+            for (const Expr* e : key_exprs) {
+              SM_ASSIGN_OR_RETURN(Value v, EvalScalar(*e, *inner));
+              key.push_back(std::move(v));
+            }
+            ++(stats->*probes);
+            std::vector<int> ids;
+            const std::vector<int>* matches = lookup(key, &ids);
+            if (matches == nullptr) return Status::OK();
+            for (int ri : *matches) {
+              ++(stats->*fetches);
+              SM_RETURN_IF_ERROR(EmitIfKept(combo, row_at(ri), q->id,
+                                            keep_filters,
+                                            /*count_filters=*/false, inner,
+                                            out, stats)
+                                     .status());
+            }
+            return Status::OK();
+          });
+    };
 
     // Index-nested-loop: when the input is a stored table with a usable
     // secondary index and the bound side is no larger than the table,
@@ -617,6 +697,9 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
     if (!correlated_here && options_.use_secondary_indexes &&
         q->input->kind() == BoxKind::kBaseTable) {
       const Table* table = catalog_->GetTable(q->input->table_name());
+      auto table_row = [table](int ri) {
+        return &table->rows()[static_cast<size_t>(ri)];
+      };
       if (table != nullptr &&
           static_cast<int64_t>(current.size()) <= table->num_rows()) {
         if (!hash_preds.empty()) {
@@ -646,74 +729,14 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
             for (size_t i = 0; i < hash_preds.size(); ++i) {
               if (!used[i]) index_residual.push_back(hash_preds[i].orig);
             }
-            auto probe_index_eq = [&](const std::vector<const Row*>& combo,
-                                      RowEnv* inner, std::vector<int>* ids,
-                                      ComboVec* out,
-                                      ExecStats* stats) -> Status {
-              Row key;
-              key.reserve(key_exprs.size());
-              for (const Expr* e : key_exprs) {
-                SM_ASSIGN_OR_RETURN(Value v, EvalScalar(*e, *inner));
-                key.push_back(std::move(v));
-              }
-              ++stats->index_probes;
-              ids->clear();
-              match->index->ProbeEqual(key, ids);
-              for (int ri : *ids) {
-                const Row* row = &table->rows()[static_cast<size_t>(ri)];
-                ++stats->index_rows_fetched;
-                inner->Bind(q->id, row);
-                bool keep = true;
-                for (const Expr* f : index_residual) {
-                  SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*f, *inner));
-                  if (v != TriBool::kTrue) {
-                    keep = false;
-                    break;
-                  }
-                }
-                if (keep) {
-                  auto combo2 = combo;
-                  combo2.push_back(row);
-                  out->push_back(std::move(combo2));
-                  if (static_cast<int64_t>(out->size()) >
-                      options_.max_rows_per_box) {
-                    return Status::ExecutionError(
-                        "row limit exceeded during join");
-                  }
-                }
-              }
-              inner->Unbind(q->id);
-              return Status::OK();
-            };
-            if (ShouldParallelize(static_cast<int64_t>(current.size()))) {
-              SM_RETURN_IF_ERROR(ParallelAppend(
-                  static_cast<int64_t>(current.size()),
-                  [&](int64_t cb, int64_t ce, ComboVec* out,
-                      ExecStats* stats) -> Status {
-                    RowEnv inner(&box_env);
-                    std::vector<int> ids;
-                    for (int64_t ci = cb; ci < ce; ++ci) {
-                      const auto& combo = current[static_cast<size_t>(ci)];
-                      for (size_t i = 0; i < bound.size(); ++i) {
-                        inner.Bind(bound[i], combo[i]);
-                      }
-                      SM_RETURN_IF_ERROR(
-                          probe_index_eq(combo, &inner, &ids, out, stats));
-                    }
-                    return Status::OK();
-                  },
-                  &next, &next_bytes));
-            } else {
-              std::vector<int> ids;
-              for (const auto& combo : current) {
-                RowEnv inner(&box_env);
-                for (size_t i = 0; i < bound.size(); ++i) {
-                  inner.Bind(bound[i], combo[i]);
-                }
-                SM_RETURN_IF_ERROR(
-                    probe_index_eq(combo, &inner, &ids, &next, &stats_));
-              }
-            }
+            SM_RETURN_IF_ERROR(probe_step(
+                key_exprs, index_residual, &ExecStats::index_probes,
+                &ExecStats::index_rows_fetched,
+                [&](const Row& key, std::vector<int>* ids) {
+                  match->index->ProbeEqual(key, ids);
+                  return ids;
+                },
+                table_row));
             step_done = true;
           }
         } else {
@@ -751,80 +774,20 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
                         q->input->table_name(),
                         range_cc.column->column_index);
           if (ordered != nullptr) {
-            auto probe_index_range = [&](const std::vector<const Row*>& combo,
-                                         RowEnv* inner, std::vector<int>* ids,
-                                         ComboVec* out,
-                                         ExecStats* stats) -> Status {
-              SM_ASSIGN_OR_RETURN(Value v,
-                                  EvalScalar(*range_cc.other, *inner));
-              const Value* lo = nullptr;
-              const Value* hi = nullptr;
-              bool inclusive = range_cc.op == BinaryOp::kLtEq ||
-                               range_cc.op == BinaryOp::kGtEq;
-              if (range_cc.op == BinaryOp::kLt ||
-                  range_cc.op == BinaryOp::kLtEq) {
-                hi = &v;
-              } else {
-                lo = &v;
-              }
-              ++stats->index_probes;
-              ids->clear();
-              ordered->ProbeRange(lo, inclusive, hi, inclusive, ids);
-              for (int ri : *ids) {
-                const Row* row = &table->rows()[static_cast<size_t>(ri)];
-                ++stats->index_rows_fetched;
-                inner->Bind(q->id, row);
-                bool keep = true;
-                for (const Expr* f : residual) {
-                  SM_ASSIGN_OR_RETURN(TriBool tv, EvalPredicate(*f, *inner));
-                  if (tv != TriBool::kTrue) {
-                    keep = false;
-                    break;
-                  }
-                }
-                if (keep) {
-                  auto combo2 = combo;
-                  combo2.push_back(row);
-                  out->push_back(std::move(combo2));
-                  if (static_cast<int64_t>(out->size()) >
-                      options_.max_rows_per_box) {
-                    return Status::ExecutionError(
-                        "row limit exceeded during join");
-                  }
-                }
-              }
-              inner->Unbind(q->id);
-              return Status::OK();
-            };
-            if (ShouldParallelize(static_cast<int64_t>(current.size()))) {
-              SM_RETURN_IF_ERROR(ParallelAppend(
-                  static_cast<int64_t>(current.size()),
-                  [&](int64_t cb, int64_t ce, ComboVec* out,
-                      ExecStats* stats) -> Status {
-                    RowEnv inner(&box_env);
-                    std::vector<int> ids;
-                    for (int64_t ci = cb; ci < ce; ++ci) {
-                      const auto& combo = current[static_cast<size_t>(ci)];
-                      for (size_t i = 0; i < bound.size(); ++i) {
-                        inner.Bind(bound[i], combo[i]);
-                      }
-                      SM_RETURN_IF_ERROR(
-                          probe_index_range(combo, &inner, &ids, out, stats));
-                    }
-                    return Status::OK();
-                  },
-                  &next, &next_bytes));
-            } else {
-              std::vector<int> ids;
-              for (const auto& combo : current) {
-                RowEnv inner(&box_env);
-                for (size_t i = 0; i < bound.size(); ++i) {
-                  inner.Bind(bound[i], combo[i]);
-                }
-                SM_RETURN_IF_ERROR(
-                    probe_index_range(combo, &inner, &ids, &next, &stats_));
-              }
-            }
+            const bool upper = range_cc.op == BinaryOp::kLt ||
+                               range_cc.op == BinaryOp::kLtEq;
+            const bool inclusive = range_cc.op == BinaryOp::kLtEq ||
+                                   range_cc.op == BinaryOp::kGtEq;
+            SM_RETURN_IF_ERROR(probe_step(
+                {range_cc.other}, residual, &ExecStats::index_probes,
+                &ExecStats::index_rows_fetched,
+                [&](const Row& key, std::vector<int>* ids) {
+                  const Value* v = &key[0];
+                  ordered->ProbeRange(upper ? nullptr : v, inclusive,
+                                      upper ? v : nullptr, inclusive, ids);
+                  return ids;
+                },
+                table_row));
             step_done = true;
           }
         }
@@ -835,43 +798,35 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
       // handled above via a secondary index
     } else if (correlated_here) {
       // Nested-loop: evaluate the input once per current combination.
+      // EvalBox is coordinator-only, so this step never splits.
       Table scratch;
-      for (const auto& combo : current) {
-        RowEnv inner(&box_env);
-        for (size_t i = 0; i < bound.size(); ++i) {
-          inner.Bind(bound[i], combo[i]);
-        }
-        SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, inner, &scratch));
-        stats_.rows_scanned += t->num_rows();
-        for (const Row& row : t->rows()) {
-          inner.Bind(q->id, &row);
-          bool keep = true;
-          for (const Expr* f : filters) {
-            ++stats_.join_probes;
-            SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*f, inner));
-            if (v != TriBool::kTrue) {
-              keep = false;
-              break;
+      SM_RETURN_IF_ERROR(RunStep(
+          &step, 0, /*parallel_ok=*/false,
+          [&](const Combo& combo, RowEnv* inner, int64_t, int64_t,
+              ComboVec* out, ExecStats* stats) -> Status {
+            SM_ASSIGN_OR_RETURN(const Table* t,
+                                EvalBox(q->input, *inner, &scratch));
+            stats->rows_scanned += t->num_rows();
+            for (const Row& row : t->rows()) {
+              SM_ASSIGN_OR_RETURN(
+                  bool kept, EmitIfKept(combo, &row, q->id, filters,
+                                        /*count_filters=*/true, inner, out,
+                                        stats));
+              if (!kept) continue;
+              // `t` may be per-binding scratch: re-point the kept
+              // combination at an arena copy that outlives the step. Only
+              // the copy is charged here; the combination is charged with
+              // the rest of the step output.
+              arena.push_back(row);
+              out->back().back() = &arena.back();
+              if (gov != nullptr) {
+                int64_t rb = RowBytes(arena.back());
+                arena_bytes += rb;
+                SM_RETURN_IF_ERROR(gov->Reserve(rb));
+              }
             }
-          }
-          if (!keep) continue;
-          arena.push_back(row);
-          if (gov != nullptr) {
-            // Charge the copied row only; the combination pointing at it
-            // is charged with the rest of `next` at the end of the step.
-            int64_t rb = RowBytes(arena.back());
-            arena_bytes += rb;
-            SM_RETURN_IF_ERROR(gov->Reserve(rb));
-          }
-          auto combo2 = combo;
-          combo2.push_back(&arena.back());
-          next.push_back(std::move(combo2));
-          if (static_cast<int64_t>(next.size()) > options_.max_rows_per_box) {
-            return Status::ExecutionError("row limit exceeded during join");
-          }
-        }
-        inner.Unbind(q->id);
-      }
+            return Status::OK();
+          }));
     } else {
       Table scratch;
       SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, box_env, &scratch));
@@ -926,134 +881,47 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
           build_bytes += build_chunk;
           SM_RETURN_IF_ERROR(gov->Reserve(build_chunk));
         }
-        auto row_at = [&input_rows](int ri) {
-          return input_rows[static_cast<size_t>(ri)];
-        };
-        if (ShouldParallelize(static_cast<int64_t>(current.size()))) {
-          // Partitioned probe: the build table is shared read-only; each
-          // worker probes its combos into a per-morsel buffer which
-          // ParallelAppend concatenates in morsel (= sequential) order.
-          SM_RETURN_IF_ERROR(ParallelAppend(
-              static_cast<int64_t>(current.size()),
-              [&](int64_t cb, int64_t ce, ComboVec* out,
-                  ExecStats* stats) -> Status {
-                RowEnv inner(&box_env);
-                for (int64_t ci = cb; ci < ce; ++ci) {
-                  const auto& combo = current[static_cast<size_t>(ci)];
-                  for (size_t i = 0; i < bound.size(); ++i) {
-                    inner.Bind(bound[i], combo[i]);
-                  }
-                  SM_RETURN_IF_ERROR(probe_matches(combo, &inner, table,
-                                                   row_at, out, stats));
-                }
-                return Status::OK();
-              },
-              &next, &next_bytes));
-        } else {
-          for (const auto& combo : current) {
-            RowEnv inner(&box_env);
-            for (size_t i = 0; i < bound.size(); ++i) {
-              inner.Bind(bound[i], combo[i]);
-            }
-            SM_RETURN_IF_ERROR(
-                probe_matches(combo, &inner, table, row_at, &next, &stats_));
-          }
-        }
-        // The build table dies with this step, but its bytes are held
-        // until the end-of-step coordinator point below: parallel probes
-        // charge output combos while the build table is live, so the
-        // sequential path must keep it charged until `next` is charged
-        // too, or peak bytes would differ by thread count.
+        // The build table is shared read-only by every probe. It dies
+        // with this step, but its bytes are held until the end-of-step
+        // coordinator point below, after the step output is charged, so
+        // peak bytes are the same on the inline and morsel sides.
         step_build_bytes = build_bytes;
+        std::vector<const Expr*> key_exprs;
+        for (const HashPred& hp : hash_preds) {
+          key_exprs.push_back(hp.other_side);
+        }
+        SM_RETURN_IF_ERROR(probe_step(
+            key_exprs, residual, &ExecStats::join_probes,
+            &ExecStats::rows_scanned,
+            [&table](const Row& key, std::vector<int>*) {
+              return table.Probe(key);
+            },
+            [&input_rows](int ri) {
+              return input_rows[static_cast<size_t>(ri)];
+            }));
       } else {
         // Nested loop with all filters (filter-only steps and joins with
-        // no usable equality).
-        auto scan_rows = [&](const std::vector<const Row*>& combo,
-                             RowEnv* inner, int64_t rb, int64_t re,
-                             ComboVec* out, ExecStats* stats) -> Status {
-          for (int64_t r = rb; r < re; ++r) {
-            const Row* row = input_rows[static_cast<size_t>(r)];
-            inner->Bind(q->id, row);
-            ++stats->join_probes;
-            bool keep = true;
-            for (const Expr* f : filters) {
-              SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*f, *inner));
-              if (v != TriBool::kTrue) {
-                keep = false;
-                break;
+        // no usable equality): one join probe per (combination, row).
+        SM_RETURN_IF_ERROR(RunStep(
+            &step, static_cast<int64_t>(input_rows.size()),
+            /*parallel_ok=*/true,
+            [&](const Combo& combo, RowEnv* inner, int64_t rb, int64_t re,
+                ComboVec* out, ExecStats* stats) -> Status {
+              for (int64_t r = rb; r < re; ++r) {
+                ++stats->join_probes;
+                SM_RETURN_IF_ERROR(
+                    EmitIfKept(combo, input_rows[static_cast<size_t>(r)],
+                               q->id, filters, /*count_filters=*/false,
+                               inner, out, stats)
+                        .status());
               }
-            }
-            if (keep) {
-              auto combo2 = combo;
-              combo2.push_back(row);
-              out->push_back(std::move(combo2));
-              if (static_cast<int64_t>(out->size()) >
-                  options_.max_rows_per_box) {
-                return Status::ExecutionError("row limit exceeded during join");
-              }
-            }
-          }
-          inner->Unbind(q->id);
-          return Status::OK();
-        };
-        const int64_t num_combos = static_cast<int64_t>(current.size());
-        const int64_t num_input = static_cast<int64_t>(input_rows.size());
-        if (ShouldParallelize(num_combos) && num_combos >= num_input) {
-          // Split over the (larger) outer combination set.
-          SM_RETURN_IF_ERROR(ParallelAppend(
-              num_combos,
-              [&](int64_t cb, int64_t ce, ComboVec* out,
-                  ExecStats* stats) -> Status {
-                RowEnv inner(&box_env);
-                for (int64_t ci = cb; ci < ce; ++ci) {
-                  const auto& combo = current[static_cast<size_t>(ci)];
-                  for (size_t i = 0; i < bound.size(); ++i) {
-                    inner.Bind(bound[i], combo[i]);
-                  }
-                  SM_RETURN_IF_ERROR(
-                      scan_rows(combo, &inner, 0, num_input, out, stats));
-                }
-                return Status::OK();
-              },
-              &next, &next_bytes));
-        } else if (ShouldParallelize(num_input)) {
-          // Partitioned scan: split the input rows (the common shape — a
-          // base-table or box scan with predicate evaluation has a single
-          // empty combo), one barrier per combo.
-          for (const auto& combo : current) {
-            SM_RETURN_IF_ERROR(ParallelAppend(
-                num_input,
-                [&](int64_t rb, int64_t re, ComboVec* out,
-                    ExecStats* stats) -> Status {
-                  RowEnv inner(&box_env);
-                  for (size_t i = 0; i < bound.size(); ++i) {
-                    inner.Bind(bound[i], combo[i]);
-                  }
-                  return scan_rows(combo, &inner, rb, re, out, stats);
-                },
-                &next, &next_bytes));
-          }
-        } else {
-          for (const auto& combo : current) {
-            RowEnv inner(&box_env);
-            for (size_t i = 0; i < bound.size(); ++i) {
-              inner.Bind(bound[i], combo[i]);
-            }
-            SM_RETURN_IF_ERROR(scan_rows(combo, &inner, 0, num_input, &next,
-                                         &stats_));
-          }
-        }
+              return Status::OK();
+            }));
       }
     }
     if (gov != nullptr) {
-      // Sequential paths charge their step output here in one lump; the
-      // parallel paths already charged the identical combos morsel by
-      // morsel (next_bytes > 0 exactly when some buffer was non-empty),
-      // so used-bytes at every step boundary is the same either way.
-      if (next_bytes == 0) {
-        for (const auto& combo : next) next_bytes += ComboBytes(combo);
-        SM_RETURN_IF_ERROR(gov->Reserve(next_bytes));
-      }
+      // RunStep charged the step output; used bytes at every step
+      // boundary are the same on the inline and morsel sides.
       SM_RETURN_IF_ERROR(gov->CheckPoint());
       gov->Release(current_bytes + step_build_bytes);
       if (options_.progress != nullptr) {
@@ -1061,12 +929,16 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
       }
     }
     bound.push_back(q->id);
-    current = std::move(next);
-    current_bytes = next_bytes;
+    current = std::move(step.next);
+    current_bytes = step.next_bytes;
   }
 
   // Per-combination phase: scalar subqueries, E/A quantifiers, residual
   // predicates, projection.
+  std::vector<const Expr*> final_preds;  // e.g. involving scalar results
+  for (const PredState& st : preds) {
+    if (!st.applied && !st.ea_phase) final_preds.push_back(st.expr);
+  }
   Table out(box->label(), Schema{});
   std::vector<Row> produced;
   int64_t until_check = check_stride;
@@ -1087,26 +959,15 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
 
     // Remaining (correlated) scalar quantifiers, declaration order.
     std::vector<Row> scalar_rows(per_row_scalars.size());
-    bool row_ok = true;
     for (size_t si = 0; si < per_row_scalars.size(); ++si) {
-      Quantifier* q = per_row_scalars[si];
-      Table scratch;
-      SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, rowenv, &scratch));
-      stats_.rows_scanned += t->num_rows();
-      if (t->num_rows() > 1) {
-        return Status::ExecutionError(
-            StrCat("scalar subquery '", q->input->label(),
-                   "' returned more than one row"));
-      }
-      scalar_rows[si] =
-          t->num_rows() == 1
-              ? t->rows()[0]
-              : Row(static_cast<size_t>(q->input->NumOutputs()), Value::Null());
-      rowenv.Bind(q->id, &scalar_rows[si]);
-      seen.insert(q->id);
+      SM_ASSIGN_OR_RETURN(scalar_rows[si],
+                          scalar_row(per_row_scalars[si], rowenv));
+      rowenv.Bind(per_row_scalars[si]->id, &scalar_rows[si]);
     }
 
-    // E / A quantifiers.
+    // E / A quantifiers: E needs some input row on which all of its
+    // predicates hold, A needs them to hold on every input row.
+    bool row_ok = true;
     for (Quantifier* q : ea_qs) {
       std::vector<const Expr*> qpreds;
       for (PredState& st : preds) {
@@ -1116,66 +977,25 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
       SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, rowenv, &scratch));
       stats_.rows_scanned += t->num_rows();
       if (q->type == QuantifierType::kAll && q->requires_empty) {
-        if (t->num_rows() != 0) {
-          row_ok = false;
-          break;
-        }
-        continue;
-      }
-      if (q->type == QuantifierType::kExistential) {
-        bool found = qpreds.empty() ? t->num_rows() > 0 : false;
-        for (const Row& srow : t->rows()) {
-          if (found) break;
-          rowenv.Bind(q->id, &srow);
-          bool all_true = true;
-          for (const Expr* p : qpreds) {
-            ++stats_.join_probes;
-            SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*p, rowenv));
-            if (v != TriBool::kTrue) {
-              all_true = false;
-              break;
-            }
-          }
-          if (all_true) found = true;
-        }
-        rowenv.Unbind(q->id);
-        if (!found) {
-          row_ok = false;
-          break;
-        }
-      } else {  // kAll: predicates must hold for every input row
-        bool all_rows_true = true;
+        row_ok = t->num_rows() == 0;
+      } else {
+        const bool existential = q->type == QuantifierType::kExistential;
+        row_ok = !existential;
         for (const Row& srow : t->rows()) {
           rowenv.Bind(q->id, &srow);
-          for (const Expr* p : qpreds) {
-            ++stats_.join_probes;
-            SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*p, rowenv));
-            if (v != TriBool::kTrue) {
-              all_rows_true = false;
-              break;
-            }
+          SM_ASSIGN_OR_RETURN(bool holds,
+                              AllTrue(qpreds, rowenv, &stats_.join_probes));
+          if (holds == existential) {
+            row_ok = existential;
+            break;
           }
-          if (!all_rows_true) break;
         }
         rowenv.Unbind(q->id);
-        if (!all_rows_true) {
-          row_ok = false;
-          break;
-        }
       }
+      if (!row_ok) break;
     }
     if (!row_ok) continue;
-
-    // Residual predicates (e.g. involving scalar results).
-    bool keep = true;
-    for (PredState& st : preds) {
-      if (st.applied || st.ea_phase) continue;
-      SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*st.expr, rowenv));
-      if (v != TriBool::kTrue) {
-        keep = false;
-        break;
-      }
-    }
+    SM_ASSIGN_OR_RETURN(bool keep, AllTrue(final_preds, rowenv, nullptr));
     if (!keep) continue;
 
     Row out_row;

@@ -2,7 +2,6 @@
 #define STARMAGIC_EXEC_EXECUTOR_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <map>
 #include <set>
@@ -144,7 +143,11 @@ class Executor {
 
  private:
   /// One joined row combination: the source row of each bound quantifier.
-  using ComboVec = std::vector<std::vector<const Row*>>;
+  using Combo = std::vector<const Row*>;
+  using ComboVec = std::vector<Combo>;
+  /// One join step of a select box (defined in executor.cc).
+  struct JoinStep;
+
   /// Evaluates `box` under `env`, returning a stable pointer: cached
   /// storage, or `*scratch` when memoization is off for this evaluation.
   Result<const Table*> EvalBox(Box* box, const RowEnv& env, Table* scratch);
@@ -166,25 +169,36 @@ class Executor {
   /// Binding-key row for `box` under `env` (values of the external refs).
   Result<Row> BindingKey(Box* box, const RowEnv& env);
 
-  /// True when a loop over `n` items should use the worker pool.
-  bool ShouldParallelize(int64_t n) const {
-    return pool_ != nullptr && n > options_.morsel_size;
-  }
+  /// Runs one join step: calls body(combo, env, row_begin, row_end, out,
+  /// stats) once per outer combination of `step`, with the combination's
+  /// quantifiers bound in `env` (one environment per range, rebound per
+  /// combination). `rows` is the length of the input a nested-loop body
+  /// scans per combination, of which the body gets [row_begin, row_end);
+  /// probe bodies pass 0. RunStep splits the longer of the two axes —
+  /// outer combinations, or input rows once per combination. It runs
+  /// inline into step->next and stats_ when there is no pool, when
+  /// `parallel_ok` is false (bodies that call EvalBox, whose caches are
+  /// coordinator-only), or when the split axis fits in one morsel.
+  /// Otherwise each morsel fills its own buffer and each worker its own
+  /// ExecStats; buffers are concatenated in morsel order (the inline row
+  /// order exactly) and the stats summed into stats_. RunStep checks
+  /// the row limit on the merged output and charges every combination it
+  /// adds to step->next to the governor: the parallel side morsel by
+  /// morsel as each completes, the inline side in one lump at the end.
+  template <typename Body>
+  Status RunStep(JoinStep* step, int64_t rows, bool parallel_ok,
+                 const Body& body);
 
-  /// Runs `body` over [0, n) split into morsels: each morsel gets its own
-  /// output buffer and each worker its own ExecStats; buffers are
-  /// concatenated into *next in morsel order (reproducing the sequential
-  /// loop's row order exactly) and the stats are summed into stats_. The
-  /// body must only read shared state — in particular it must not call
-  /// EvalBox (caches are coordinator-only). When a governor is attached,
-  /// each morsel's buffer bytes are reserved worker-side as the morsel
-  /// completes and the total is added to *charged_bytes (the caller
-  /// releases them when the buffered combinations die).
-  Status ParallelAppend(
-      int64_t n,
-      const std::function<Status(int64_t begin, int64_t end, ComboVec* out,
-                                 ExecStats* stats)>& body,
-      ComboVec* next, int64_t* charged_bytes);
+  /// The shared tail of every join-step body: binds candidate `row` as
+  /// quantifier `qid` in `env` and, when every filter holds, appends
+  /// `combo` extended by `row` to `out`, failing past the row limit.
+  /// Returns whether the row was kept. `count_filters` adds one join
+  /// probe per filter evaluated (the correlated step's count; the other
+  /// steps count their probes themselves).
+  Result<bool> EmitIfKept(const Combo& combo, const Row* row, int qid,
+                          const std::vector<const Expr*>& filters,
+                          bool count_filters, RowEnv* env, ComboVec* out,
+                          ExecStats* stats) const;
 
   QueryGraph* graph_;
   const Catalog* catalog_;

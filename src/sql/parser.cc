@@ -51,6 +51,38 @@ class Parser {
   }
 
  private:
+  /// Deepest AST nesting the parser builds. Every recursive consumer of the
+  /// AST — this parser, the QGM builder, constant folding, the evaluator,
+  /// the node destructors — recurses once per level (the parser about ten
+  /// frames per parenthesis, the executor a few per subquery), so this one
+  /// limit keeps all of them far from the end of an 8 MiB stack, with
+  /// room to spare even in sanitizer builds.
+  static constexpr int kMaxDepth = 256;
+
+  /// The AST levels one parse function has entered: a subquery, a
+  /// parenthesized expression, a unary operator, or one more link of a
+  /// left-deep operator chain. They are left when the function returns.
+  class DepthScope {
+   public:
+    explicit DepthScope(Parser* parser) : parser_(parser) {}
+    ~DepthScope() { parser_->depth_ -= levels_; }
+    DepthScope(const DepthScope&) = delete;
+    DepthScope& operator=(const DepthScope&) = delete;
+
+    /// Enters one more level; past kMaxDepth this is a typed ParseError.
+    Status Enter() {
+      ++levels_;
+      if (++parser_->depth_ <= kMaxDepth) return Status::OK();
+      return Status::ParseError(StrCat("query nested more than ", kMaxDepth,
+                                       " levels deep at line ",
+                                       parser_->Peek().line));
+    }
+
+   private:
+    Parser* parser_;
+    int levels_ = 0;
+  };
+
   const Token& Peek(int ahead = 0) const {
     size_t i = pos_ + static_cast<size_t>(ahead);
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
@@ -386,6 +418,8 @@ class Parser {
   // ---------------------------- Queries ------------------------------------
 
   Result<std::unique_ptr<AstBlob>> ParseBlob() {
+    DepthScope scope(this);
+    SM_RETURN_IF_ERROR(scope.Enter());
     auto blob = std::make_unique<AstBlob>();
     SM_ASSIGN_OR_RETURN(blob->first, ParseBlock());
     while (true) {
@@ -510,11 +544,17 @@ class Parser {
 
   // -------------------------- Expressions ----------------------------------
 
-  Result<AstExprPtr> ParseExpr() { return ParseOr(); }
+  Result<AstExprPtr> ParseExpr() {
+    DepthScope scope(this);
+    SM_RETURN_IF_ERROR(scope.Enter());
+    return ParseOr();
+  }
 
   Result<AstExprPtr> ParseOr() {
     SM_ASSIGN_OR_RETURN(AstExprPtr lhs, ParseAnd());
+    DepthScope chain(this);
     while (ConsumeKeyword("OR")) {
+      SM_RETURN_IF_ERROR(chain.Enter());
       SM_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseAnd());
       lhs = std::make_unique<AstBinary>(BinaryOp::kOr, std::move(lhs),
                                         std::move(rhs));
@@ -524,7 +564,9 @@ class Parser {
 
   Result<AstExprPtr> ParseAnd() {
     SM_ASSIGN_OR_RETURN(AstExprPtr lhs, ParseNot());
+    DepthScope chain(this);
     while (ConsumeKeyword("AND")) {
+      SM_RETURN_IF_ERROR(chain.Enter());
       SM_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseNot());
       lhs = std::make_unique<AstBinary>(BinaryOp::kAnd, std::move(lhs),
                                         std::move(rhs));
@@ -534,6 +576,8 @@ class Parser {
 
   Result<AstExprPtr> ParseNot() {
     if (ConsumeKeyword("NOT")) {
+      DepthScope scope(this);
+      SM_RETURN_IF_ERROR(scope.Enter());
       SM_ASSIGN_OR_RETURN(AstExprPtr inner, ParseNot());
       return AstExprPtr(std::make_unique<AstUnary>(UnaryOp::kNot, std::move(inner)));
     }
@@ -636,6 +680,7 @@ class Parser {
 
   Result<AstExprPtr> ParseAdditive() {
     SM_ASSIGN_OR_RETURN(AstExprPtr lhs, ParseMultiplicative());
+    DepthScope chain(this);
     while (true) {
       BinaryOp op;
       if (Peek().type == TokenType::kPlus) {
@@ -646,6 +691,7 @@ class Parser {
         break;
       }
       Advance();
+      SM_RETURN_IF_ERROR(chain.Enter());
       SM_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseMultiplicative());
       lhs = std::make_unique<AstBinary>(op, std::move(lhs), std::move(rhs));
     }
@@ -654,6 +700,7 @@ class Parser {
 
   Result<AstExprPtr> ParseMultiplicative() {
     SM_ASSIGN_OR_RETURN(AstExprPtr lhs, ParseUnary());
+    DepthScope chain(this);
     while (true) {
       BinaryOp op;
       if (Peek().type == TokenType::kStar) {
@@ -664,6 +711,7 @@ class Parser {
         break;
       }
       Advance();
+      SM_RETURN_IF_ERROR(chain.Enter());
       SM_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseUnary());
       lhs = std::make_unique<AstBinary>(op, std::move(lhs), std::move(rhs));
     }
@@ -671,12 +719,13 @@ class Parser {
   }
 
   Result<AstExprPtr> ParseUnary() {
-    if (ConsumeIf(TokenType::kMinus)) {
-      SM_ASSIGN_OR_RETURN(AstExprPtr inner, ParseUnary());
-      return AstExprPtr(std::make_unique<AstUnary>(UnaryOp::kNeg, std::move(inner)));
-    }
-    if (ConsumeIf(TokenType::kPlus)) return ParseUnary();
-    return ParsePrimary();
+    const bool negate = ConsumeIf(TokenType::kMinus);
+    if (!negate && !ConsumeIf(TokenType::kPlus)) return ParsePrimary();
+    DepthScope scope(this);
+    SM_RETURN_IF_ERROR(scope.Enter());
+    SM_ASSIGN_OR_RETURN(AstExprPtr inner, ParseUnary());
+    if (!negate) return inner;
+    return AstExprPtr(std::make_unique<AstUnary>(UnaryOp::kNeg, std::move(inner)));
   }
 
   Result<AstExprPtr> ParsePrimary() {
@@ -774,6 +823,8 @@ class Parser {
   size_t pos_ = 0;
   /// Positional '?' parameters seen so far, assigned left to right.
   int param_count_ = 0;
+  /// AST levels entered so far (see DepthScope).
+  int depth_ = 0;
 };
 
 }  // namespace

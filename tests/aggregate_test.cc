@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace starmagic {
 namespace {
 
@@ -81,6 +84,34 @@ TEST(AccumulatorTest, DistinctDeduplicates) {
 TEST(AccumulatorTest, SumOfStringsFails) {
   Accumulator acc(AggFunc::kSum, false);
   EXPECT_FALSE(acc.Add(Value::String("x")).ok());
+}
+
+TEST(AccumulatorTest, IntegerSumOverflowIsAnError) {
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  Accumulator sum(AggFunc::kSum, false);
+  ASSERT_TRUE(sum.Add(Value::Int(max)).ok());
+  Status st = sum.Add(Value::Int(1));
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kExecutionError);
+  EXPECT_NE(st.message().find("integer overflow"), std::string::npos);
+
+  Accumulator negative(AggFunc::kSum, false);
+  ASSERT_TRUE(negative.Add(Value::Int(std::numeric_limits<int64_t>::min()))
+                  .ok());
+  EXPECT_FALSE(negative.Add(Value::Int(-1)).ok());
+}
+
+TEST(AccumulatorTest, SumUpToTheEdgeAndAvgOfHugeIntsSucceed) {
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  Accumulator sum(AggFunc::kSum, false);
+  ASSERT_TRUE(sum.Add(Value::Int(max - 1)).ok());
+  ASSERT_TRUE(sum.Add(Value::Int(1)).ok());
+  EXPECT_EQ(sum.Finish().int_value(), max);
+  // AVG sums in floating point, so its integer inputs cannot overflow.
+  Accumulator avg(AggFunc::kAvg, false);
+  ASSERT_TRUE(avg.Add(Value::Int(max)).ok());
+  ASSERT_TRUE(avg.Add(Value::Int(max)).ok());
+  EXPECT_DOUBLE_EQ(avg.Finish().double_value(), static_cast<double>(max));
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "engine/database.h"
 
 namespace starmagic {
@@ -92,7 +97,7 @@ std::string RandomQuery(Rng* rng, bool* is_sys) {
   std::vector<std::string> compare_ops = {"=", "<", "<=", ">", ">=", "<>"};
   std::string sql;
   *is_sys = false;
-  switch (rng->Uniform(10)) {
+  switch (rng->Uniform(11)) {
     case 9:  // self-observation: the running query in sys.active_queries.
       // Projects only strategy-invariant columns — the statement text —
       // never id/phase/morsels/elapsed_us, which differ run to run.
@@ -154,6 +159,15 @@ std::string RandomQuery(Rng* rng, bool* is_sys) {
             (rng->Chance(50) ? "IN" : "NOT IN") +
             " (SELECT d.g FROM dim d WHERE d.w < " +
             std::to_string(rng->Uniform(50)) + ")";
+      break;
+    case 10:  // integer arithmetic at the INT64 edges; fact.k is in [0, 20),
+              // so every value stays in range and no strategy may fail
+      sql = "SELECT f.k, f.k - 9223372036854775807, "
+            "(-9223372036854775807 - 1) / (f.k + 1), "
+            "f.k * 461168601842738790 FROM fact f WHERE "
+            "f.k + 9223372036854775788 " +
+            rng->Pick(compare_ops) + " " +
+            std::to_string(9223372036854775788 + rng->Uniform(20));
       break;
     default:  // scalar subquery
       sql = "SELECT f.k FROM fact f WHERE f.v > (SELECT AVG(v) FROM fact "
@@ -218,6 +232,113 @@ TEST_P(FuzzEquivalenceTest, StrategiesAgreeOnRandomQueries) {
       ASSERT_TRUE(db.Execute("CREATE INDEX churn ON fact (v)").ok());
     }
   }
+}
+
+// Checked integer arithmetic: random operands drawn from the INT64 edges,
+// evaluated through the whole engine (stored operands at run time, and
+// literal operands that constant folding must leave to run time when they
+// fail), against a 128-bit oracle. An out-of-range result must be a typed
+// "integer overflow" error — never a wrapped value or a trap.
+int64_t EdgeValue(Rng* rng) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::vector<int64_t> edges = {kMin, kMin + 1, -2, -1, 0,
+                                      1,    2,        kMax - 1, kMax};
+  if (rng->Chance(20)) return static_cast<int64_t>(rng->Next());
+  return rng->Pick(edges);
+}
+
+std::string IntLiteral(int64_t v) {
+  if (v == std::numeric_limits<int64_t>::min()) {
+    return "(-9223372036854775807 - 1)";  // not writable as one literal
+  }
+  return "(" + std::to_string(v) + ")";
+}
+
+void ExpectOracle(const Result<QueryResult>& r, __int128 expected,
+                  bool divide_by_zero, const std::string& sql) {
+  if (divide_by_zero) {
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_NE(r.status().message().find("division by zero"),
+              std::string::npos)
+        << sql << " -> " << r.status().ToString();
+    return;
+  }
+  const bool fits = expected >= std::numeric_limits<int64_t>::min() &&
+                    expected <= std::numeric_limits<int64_t>::max();
+  if (!fits) {
+    ASSERT_FALSE(r.ok()) << sql << " should overflow";
+    EXPECT_EQ(r.status().code(), StatusCode::kExecutionError) << sql;
+    EXPECT_NE(r.status().message().find("integer overflow"),
+              std::string::npos)
+        << sql << " -> " << r.status().ToString();
+    return;
+  }
+  ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  ASSERT_EQ(r->table.num_rows(), 1) << sql;
+  EXPECT_EQ(r->table.rows()[0][0], Value::Int(static_cast<int64_t>(expected)))
+      << sql;
+}
+
+TEST_P(FuzzEquivalenceTest, IntegerArithmeticIsCheckedAtTheEdges) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729u);
+  Database db;
+  ASSERT_TRUE(
+      db.ExecuteScript("CREATE TABLE t (a INTEGER, b INTEGER);").ok());
+  Table* t = db.catalog()->GetTable("t");
+  const char* ops[] = {"+", "-", "*", "/"};
+  for (int i = 0; i < 12; ++i) {
+    const int64_t a = EdgeValue(&rng);
+    const int64_t b = EdgeValue(&rng);
+    const int op = static_cast<int>(rng.Uniform(5));  // 4 = unary minus
+    __int128 expected = 0;
+    switch (op) {
+      case 0:
+        expected = static_cast<__int128>(a) + b;
+        break;
+      case 1:
+        expected = static_cast<__int128>(a) - b;
+        break;
+      case 2:
+        expected = static_cast<__int128>(a) * b;
+        break;
+      case 3:
+        if (b != 0) expected = static_cast<__int128>(a) / b;
+        break;
+      default:
+        expected = -static_cast<__int128>(a);
+        break;
+    }
+    const bool divide_by_zero = op == 3 && b == 0;
+    t->mutable_rows() = {Row{Value::Int(a), Value::Int(b)}};
+    for (bool literals : {false, true}) {
+      std::string lhs = literals ? IntLiteral(a) : "a";
+      std::string rhs = literals ? IntLiteral(b) : "b";
+      std::string expr =
+          op == 4 ? "-" + lhs : lhs + " " + ops[op] + " " + rhs;
+      std::string sql = "SELECT " + expr + " FROM t";
+      ExpectOracle(db.Query(sql), expected, divide_by_zero, sql);
+    }
+  }
+  // SUM accumulates in scan order and fails on the first out-of-range
+  // prefix; AVG sums in floating point and never overflows.
+  std::vector<Row> rows;
+  __int128 sum = 0;
+  bool overflowed = false;
+  for (int i = 0; i < 4; ++i) {
+    int64_t v = EdgeValue(&rng);
+    rows.push_back(Row{Value::Int(v), Value::Int(0)});
+    sum += v;
+    if (sum < std::numeric_limits<int64_t>::min() ||
+        sum > std::numeric_limits<int64_t>::max()) {
+      overflowed = true;
+    }
+  }
+  t->mutable_rows() = rows;
+  auto r = db.Query("SELECT SUM(a) FROM t");
+  ExpectOracle(r, overflowed ? (__int128{1} << 64) : sum, false,
+               "SELECT SUM(a) FROM t");
+  EXPECT_TRUE(db.Query("SELECT AVG(a) FROM t").ok());
 }
 
 // A parameterized query template for the prepared-statement fuzz: the

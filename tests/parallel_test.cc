@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <vector>
 
 #include "common/string_util.h"
 #include "engine/database.h"
+#include "governor/governor.h"
 #include "obs/metrics.h"
 #include "parallel/morsel.h"
 
@@ -178,6 +181,7 @@ struct RunOutcome {
   ExecStats stats;
   std::map<int, BoxExecStats> box_stats;
   ParallelStats parallel;
+  int64_t peak_bytes = 0;  ///< governor high-water mark (governed runs)
 };
 
 void ExpectSameStats(const ExecStats& a, const ExecStats& b,
@@ -225,9 +229,11 @@ class ParallelExecutorTest : public ::testing::Test {
 
   /// Optimizes `sql` fresh and executes it with `threads` workers and a
   /// small morsel size so the 500-row tables split into many morsels.
+  /// `governed` attaches an unlimited governor to record peak bytes.
   RunOutcome Run(const std::string& sql, int threads,
                  QueryOptions qopts = QueryOptions(),
-                 int64_t max_rows_per_box = 200'000'000) {
+                 int64_t max_rows_per_box = 200'000'000,
+                 bool governed = false) {
     RunOutcome out;
     auto p = db_.Explain(sql, qopts);
     EXPECT_TRUE(p.ok()) << sql << " -> " << p.status().ToString();
@@ -235,18 +241,25 @@ class ParallelExecutorTest : public ::testing::Test {
       out.status = p.status();
       return out;
     }
+    ResourceGovernor governor(ResourceBudget::Unlimited());
     ExecOptions eo;
+    eo.memoize_correlation =
+        qopts.strategy != ExecutionStrategy::kCorrelated;
     eo.num_threads = threads;
     eo.morsel_size = 16;
     eo.collect_box_stats = true;
     eo.max_rows_per_box = max_rows_per_box;
-    Executor executor(p->graph.get(), db_.catalog(), eo);
-    auto t = executor.Run();
-    out.status = t.status();
-    if (t.ok()) out.table = std::move(t.value());
-    out.stats = executor.stats();
-    out.box_stats = executor.box_stats();
-    out.parallel = executor.parallel_stats();
+    if (governed) eo.governor = &governor;
+    {
+      Executor executor(p->graph.get(), db_.catalog(), eo);
+      auto t = executor.Run();
+      out.status = t.status();
+      if (t.ok()) out.table = std::move(t.value());
+      out.stats = executor.stats();
+      out.box_stats = executor.box_stats();
+      out.parallel = executor.parallel_stats();
+    }
+    out.peak_bytes = governor.peak_bytes();
     return out;
   }
 
@@ -333,6 +346,122 @@ TEST_F(ParallelExecutorTest, RowLimitErrorIsDeterministic) {
                          /*max_rows_per_box=*/100);
     ASSERT_FALSE(par.status.ok()) << "threads=" << threads;
     EXPECT_EQ(par.status.ToString(), seq.status.ToString());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Step-kind oracle: one query per join-step access path of a select box.
+// Each case first proves that its path ran, then demands identical rows in
+// order, bit-identical ExecStats and an identical governed peak at 1/2/8
+// threads.
+// ---------------------------------------------------------------------------
+
+struct StepKindCase {
+  const char* kind;
+  const char* index_name;  ///< created before the case, dropped after
+  const char* index_ddl;   ///< null: the case runs without an index
+  const char* sql;
+  ExecutionStrategy strategy;
+  /// Asserts that the intended step kind ran, from the 1- and 2-thread
+  /// runs (the latter shows how the steps were partitioned).
+  std::function<void(const RunOutcome& seq, const RunOutcome& par)> path_ran;
+};
+
+constexpr int64_t kDims = 23;    ///< rows of ParallelExecutorTest's dim
+constexpr int64_t kFacts = 500;  ///< rows of ParallelExecutorTest's fact
+
+TEST_F(ParallelExecutorTest, EveryStepKindIsDeterministic) {
+  const std::vector<StepKindCase> cases = {
+      {"hash probe", nullptr, nullptr,
+       "SELECT f.id, d.label FROM fact f, dim d "
+       "WHERE f.grp = d.grp AND f.amount > 50",
+       ExecutionStrategy::kMagic,
+       [](const RunOutcome& seq, const RunOutcome& par) {
+         EXPECT_EQ(seq.stats.index_probes, 0);
+         // One probe per outer combination, not one per (combination, row).
+         EXPECT_LT(seq.stats.join_probes, kDims * kFacts);
+         EXPECT_GT(par.parallel.tasks, 0);
+       }},
+      {"index-eq", "fact_grp_hash",
+       "CREATE INDEX fact_grp_hash ON fact (grp) USING HASH",
+       "SELECT f.id, d.label FROM dim d, fact f WHERE d.grp = f.grp",
+       ExecutionStrategy::kMagic,
+       [](const RunOutcome& seq, const RunOutcome&) {
+         EXPECT_EQ(seq.stats.index_probes, kDims);
+         EXPECT_EQ(seq.stats.index_rows_fetched, kFacts);
+       }},
+      {"index-range", "fact_grp_ordered",
+       "CREATE INDEX fact_grp_ordered ON fact (grp) USING ORDERED",
+       "SELECT f.id, d.grp FROM dim d, fact f WHERE f.grp < d.grp",
+       ExecutionStrategy::kMagic,
+       [](const RunOutcome& seq, const RunOutcome&) {
+         EXPECT_EQ(seq.stats.index_probes, kDims);
+         EXPECT_GT(seq.stats.index_rows_fetched, 0);
+       }},
+      {"nested loop, more combos than input rows", nullptr, nullptr,
+       "SELECT d1.grp, d2.grp, d3.grp FROM dim d1, dim d2, dim d3 "
+       "WHERE d1.grp < d2.grp AND d2.grp < d3.grp",
+       ExecutionStrategy::kMagic,
+       [](const RunOutcome& seq, const RunOutcome& par) {
+         EXPECT_EQ(seq.stats.index_probes, 0);
+         // The last step scans all dim rows for each of the 253 (d1, d2)
+         // pairs.
+         EXPECT_GE(seq.stats.join_probes, 253 * kDims);
+         // Each of the three steps splits one axis once: the first scan
+         // its input rows, the other two their outer combinations.
+         EXPECT_EQ(par.parallel.tasks, 3);
+       }},
+      {"nested loop, more input rows than combos", nullptr, nullptr,
+       "SELECT f.id, d.grp FROM dim d, fact f WHERE f.grp + 3 < d.grp",
+       ExecutionStrategy::kMagic,
+       [](const RunOutcome& seq, const RunOutcome& par) {
+         EXPECT_EQ(seq.stats.index_probes, 0);
+         EXPECT_GE(seq.stats.join_probes, kDims * kFacts);
+         // The fact step splits its input rows, once per dim combination.
+         EXPECT_GE(par.parallel.tasks, kDims);
+       }},
+      {"correlated nested loop", nullptr, nullptr,
+       "SELECT d.label, v.total FROM dim d, grp_total v "
+       "WHERE d.grp = v.grp",
+       ExecutionStrategy::kCorrelated,
+       [](const RunOutcome& seq, const RunOutcome&) {
+         // Without memoization the view is evaluated once per dim row.
+         int64_t max_evals = 0;
+         for (const auto& [id, b] : seq.box_stats) {
+           max_evals = std::max(max_evals, b.evaluations);
+         }
+         EXPECT_GE(max_evals, kDims);
+         EXPECT_EQ(seq.stats.cache_hits, 0);
+       }},
+  };
+  ASSERT_TRUE(db_.Execute("CREATE VIEW grp_total (grp, total) AS "
+                          "SELECT grp, SUM(amount) FROM fact GROUP BY grp")
+                  .ok());
+  for (const StepKindCase& c : cases) {
+    SCOPED_TRACE(c.kind);
+    if (c.index_ddl != nullptr) {
+      ASSERT_TRUE(db_.Execute(c.index_ddl).ok());
+    }
+    const QueryOptions qopts(c.strategy);
+    RunOutcome seq = Run(c.sql, 1, qopts, 200'000'000, /*governed=*/true);
+    ASSERT_TRUE(seq.status.ok()) << seq.status.ToString();
+    ASSERT_GT(seq.table.num_rows(), 0);
+    ASSERT_GT(seq.peak_bytes, 0);
+    RunOutcome two = Run(c.sql, 2, qopts, 200'000'000, /*governed=*/true);
+    c.path_ran(seq, two);
+    for (int threads : {2, 8}) {
+      RunOutcome par =
+          Run(c.sql, threads, qopts, 200'000'000, /*governed=*/true);
+      std::string label = StrCat(c.kind, " @ threads=", threads);
+      ASSERT_TRUE(par.status.ok()) << label << " -> "
+                                   << par.status.ToString();
+      ExpectSameRowsInOrder(seq.table, par.table, label);
+      ExpectSameStats(seq.stats, par.stats, label);
+      EXPECT_EQ(par.peak_bytes, seq.peak_bytes) << label;
+    }
+    if (c.index_name != nullptr) {
+      ASSERT_TRUE(db_.Execute(StrCat("DROP INDEX ", c.index_name)).ok());
+    }
   }
 }
 

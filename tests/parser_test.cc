@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "engine/database.h"
+
 namespace starmagic {
 namespace {
 
@@ -241,6 +247,77 @@ TEST(ParserTest, BlobToStringRoundTripsThroughParser) {
     auto reparsed = ParseQuery(rendered);
     ASSERT_TRUE(reparsed.ok()) << rendered;
     EXPECT_EQ((*reparsed)->ToString(), rendered);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Nesting depth: SQL text nested far past the parser's fixed limit is a
+// typed ParseError, never a stack overflow, and the deepest query of each
+// shape the parser still accepts runs through the whole engine — builder,
+// rewrites, optimizer, executor — without exhausting the stack (the
+// sanitizer battery runs this too).
+// ---------------------------------------------------------------------------
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  out.reserve(s.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+void ExpectTooDeep(const std::string& sql) {
+  auto r = ParseStatement(sql);
+  ASSERT_FALSE(r.ok()) << sql.substr(0, 80);
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find("nested more than"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(ParserDepthTest, DeepNestingIsATypedErrorAndTheLimitRuns) {
+  Database db;
+  ASSERT_TRUE(
+      db.ExecuteScript("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1);")
+          .ok());
+  // Left-deep operator chains are parsed in a loop, but the tree they build
+  // is as deep as the chain is long, so they are bounded too.
+  auto chain = [](const char* link) {
+    return [link](int n) {
+      return "SELECT a FROM t WHERE a = 1" + Repeat(link, n);
+    };
+  };
+  auto subquery = [](const char* open, const char* close) {
+    return [open, close](int n) {
+      return Repeat(open, n) + "SELECT a FROM t" + Repeat(close, n);
+    };
+  };
+  const std::vector<std::function<std::string(int)>> shapes = {
+      [](int n) {
+        return "SELECT " + Repeat("(", n) + "a" + Repeat(")", n) + " FROM t";
+      },
+      [](int n) { return "SELECT " + Repeat("- ", n) + "a FROM t"; },
+      [](int n) { return "SELECT " + Repeat("+ ", n) + "a FROM t"; },
+      [](int n) {
+        return "SELECT a FROM t WHERE " + Repeat("NOT ", n) + "a = 1";
+      },
+      [](int n) { return "SELECT a" + Repeat(" + 1", n) + " FROM t"; },
+      [](int n) { return "SELECT a" + Repeat(" * 1", n) + " FROM t"; },
+      chain(" AND a = 1"),
+      chain(" OR a = 1"),
+      subquery("SELECT a FROM t WHERE a IN (", ")"),
+      subquery("SELECT a FROM t WHERE EXISTS (", ")"),
+      subquery("SELECT (", ") FROM t"),
+      subquery("SELECT a FROM (", ") x"),
+  };
+  for (const auto& shape : shapes) {
+    SCOPED_TRACE(shape(1));
+    ExpectTooDeep(shape(20'000));
+    int deepest = 0;
+    while (ParseStatement(shape(deepest + 1)).ok()) ++deepest;
+    ExpectTooDeep(shape(deepest + 1));
+    ASSERT_GT(deepest, 50);
+    auto r = db.Query(shape(deepest));
+    EXPECT_TRUE(r.ok()) << "depth " << deepest << " -> "
+                        << r.status().ToString();
   }
 }
 

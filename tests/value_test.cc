@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/row.h"
 
 namespace starmagic {
@@ -97,6 +100,49 @@ TEST(ValueTest, IntegerDivisionStaysInt) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->kind(), ValueKind::kInt);
   EXPECT_EQ(r->int_value(), 3);
+}
+
+// Integer arithmetic is checked: a result outside int64 is a typed
+// "integer overflow" error, never a wrap (undefined behaviour) or a trap.
+TEST(ValueTest, IntegerOverflowIsAnError) {
+  const Value kMax = Value::Int(std::numeric_limits<int64_t>::max());
+  const Value kMin = Value::Int(std::numeric_limits<int64_t>::min());
+  auto expect_overflow = [](const Result<Value>& r, const char* what) {
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_EQ(r.status().code(), StatusCode::kExecutionError) << what;
+    EXPECT_NE(r.status().message().find("integer overflow"),
+              std::string::npos)
+        << what << ": " << r.status().ToString();
+  };
+  expect_overflow(Value::Add(kMax, Value::Int(1)), "MAX + 1");
+  expect_overflow(Value::Add(kMin, Value::Int(-1)), "MIN + -1");
+  expect_overflow(Value::Subtract(kMin, Value::Int(1)), "MIN - 1");
+  expect_overflow(Value::Subtract(Value::Int(0), kMin), "0 - MIN");
+  expect_overflow(Value::Multiply(kMax, Value::Int(2)), "MAX * 2");
+  expect_overflow(Value::Multiply(kMin, Value::Int(-1)), "MIN * -1");
+  expect_overflow(Value::Divide(kMin, Value::Int(-1)), "MIN / -1");
+  expect_overflow(Value::Negate(kMin), "-MIN");
+}
+
+TEST(ValueTest, IntegerArithmeticAtTheEdgesStillWorks) {
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  auto r = Value::Add(Value::Int(max - 1), Value::Int(1));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->int_value(), max);
+  r = Value::Subtract(Value::Int(min + 1), Value::Int(1));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->int_value(), min);
+  r = Value::Divide(Value::Int(min), Value::Int(1));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->int_value(), min);
+  r = Value::Negate(Value::Int(max));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->int_value(), -max);
+  // Mixed with a double the arithmetic is floating point: no overflow.
+  r = Value::Multiply(Value::Int(max), Value::Double(2));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->kind(), ValueKind::kDouble);
 }
 
 TEST(ValueTest, ToStringRendering) {
