@@ -18,6 +18,19 @@ python3 "${ROOT}/scripts/metrics_lint.py" --self-test
 echo "== bench report: off/on pair-rule self-test =="
 python3 "${ROOT}/scripts/bench_report.py" --self-test
 
+# The executor and the worker pool reach the governor, the progress
+# tracker, the tracer and the box-stats switch only through ExecContext
+# (src/exec/exec_context.h); a direct read there would grow a second hook
+# path beside the seam. Comment lines are skipped.
+echo "== seam check: executor and worker pool sinks go through ExecContext =="
+SEAM_PATTERN='options_?\.(governor|progress|tracer|collect_box_stats)|\b(governor|progress|tracer|gov)(_|->)|ResourceGovernor|ProgressTracker|box_stats_'
+for src in src/exec/executor.cc src/parallel/worker_pool.cc; do
+  if hit="$(grep -nE "${SEAM_PATTERN}" "${ROOT}/${src}" | grep -vE '^[0-9]+:[[:space:]]*//' | head -n 1)" && [[ -n "${hit}" ]]; then
+    echo "seam check failed: ${src}:${hit%%:*} reads a sink directly instead of through ExecContext" >&2
+    exit 1
+  fi
+done
+
 cmake -B "${BUILD}" -S "${ROOT}" -DSTARMAGIC_SANITIZE=ON
 cmake --build "${BUILD}" -j "$(nproc)"
 

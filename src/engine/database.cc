@@ -427,13 +427,33 @@ void RecordQErrors(const QueryGraph& graph, const Catalog* catalog,
   }
 }
 
+// The compile-side fields of a query result; moves the rule fires out of
+// `pipeline`.
+QueryResult CompiledResult(PipelineResult* pipeline) {
+  QueryResult result;
+  result.cost_no_emst = pipeline->cost_no_emst;
+  result.cost_with_emst = pipeline->cost_with_emst;
+  result.emst_applied = pipeline->emst_applied;
+  result.emst_chosen = pipeline->emst_chosen;
+  result.rewrite_applications = pipeline->rewrite_applications;
+  result.rule_fires = std::move(pipeline->rule_fires);
+  return result;
+}
+
 }  // namespace
 
-Result<QueryResult> Database::RunPipeline(PipelineResult pipeline,
+Result<QueryResult> Database::RunPipeline(PipelineResult* pipeline,
                                           const QueryOptions& options,
                                           bool collect_box_stats,
                                           ProgressTracker* progress,
                                           GovernorStats* governor_out) {
+  if (progress != nullptr) {
+    if (pipeline->graph->top() != nullptr) {
+      CardinalityEstimator est(pipeline->graph.get(), &catalog_);
+      progress->SetEstRows(est.Estimate(pipeline->graph->top()).rows);
+    }
+    progress->SetPhase(QueryPhase::kExecute);
+  }
   // Internal introspection queries run unbudgeted (a tiny session row
   // limit must not abort the dashboard displaying it) and write no
   // metrics; sys.governor still *reports* options.budget.
@@ -450,7 +470,7 @@ Result<QueryResult> Database::RunPipeline(PipelineResult pipeline,
   exec_options.morsel_size = options.morsel_size;
   exec_options.governor = &governor;
   exec_options.progress = progress;
-  Executor executor(pipeline.graph.get(), &catalog_, exec_options);
+  Executor executor(pipeline->graph.get(), &catalog_, exec_options);
   // Not SM_ASSIGN_OR_RETURN: governor stats and abort metrics must be
   // recorded for failing runs too — aborted queries are exactly the ones
   // the governor dashboards exist for.
@@ -460,22 +480,15 @@ Result<QueryResult> Database::RunPipeline(PipelineResult pipeline,
   RecordGovernorMetrics(metrics, governor,
                         run.ok() ? Status::OK() : run.status());
   if (!run.ok()) return run.status();
-  Table table = std::move(*run);
 
-  QueryResult result;
+  QueryResult result = CompiledResult(pipeline);
   result.governor = *governor_out;
-  result.table = std::move(table);
+  result.table = std::move(*run);
   result.exec_stats = executor.stats();
-  result.cost_no_emst = pipeline.cost_no_emst;
-  result.cost_with_emst = pipeline.cost_with_emst;
-  result.emst_applied = pipeline.emst_applied;
-  result.emst_chosen = pipeline.emst_chosen;
-  result.rewrite_applications = pipeline.rewrite_applications;
-  result.rule_fires = std::move(pipeline.rule_fires);
   result.box_stats = executor.box_stats();
   result.result_rows = result.table.num_rows();
   if (options.capture_plan_report) {
-    result.plan_report = PrintGraph(*pipeline.graph);
+    result.plan_report = PrintGraph(*pipeline->graph);
   }
   RecordExecMetrics(metrics, result.exec_stats, result.result_rows);
   if (result.emst_applied) {
@@ -570,86 +583,58 @@ int Database::CachePlan(const PipelineResult& pipeline,
   return plan_cache_.Insert(std::move(plan));
 }
 
+Result<PipelineResult> Database::CompileCached(const AstBlob& blob,
+                                               const std::string& sql,
+                                               const QueryOptions& options,
+                                               bool* plan_cache_hit) {
+  *plan_cache_hit = false;
+  if (!options.use_plan_cache || !plan_cache_.enabled()) {
+    return OptimizeBlob(blob, options);
+  }
+  MetricsRegistry* metrics = options.internal ? nullptr : options.metrics;
+  std::string norm_sql = PlanCache::NormalizeSql(sql);
+  std::string fingerprint =
+      PlanCache::Fingerprint(EffectivePipelineOptions(options));
+  PlanCache::LookupResult lookup =
+      plan_cache_.Lookup(norm_sql, fingerprint, catalog_);
+  if (lookup.plan != nullptr) {
+    *plan_cache_hit = true;
+    RecordPlanCacheMetrics(metrics, /*hit=*/true, false, 0);
+    return PipelineFromCache(*lookup.plan);
+  }
+  SM_ASSIGN_OR_RETURN(PipelineResult pipeline, OptimizeBlob(blob, options));
+  int evictions =
+      CachePlan(pipeline, norm_sql, fingerprint, CountParams(*pipeline.graph));
+  RecordPlanCacheMetrics(metrics, /*hit=*/false, lookup.invalidated,
+                         evictions);
+  return pipeline;
+}
+
 Result<QueryResult> Database::RunExplain(const AstExplain& ex,
                                          const std::string& sql,
                                          const QueryOptions& options,
                                          ProgressTracker* progress,
                                          GovernorStats* governor_out) {
-  MetricsRegistry* pc_metrics = options.internal ? nullptr : options.metrics;
   bool plan_cache_hit = false;
-  PipelineResult pipeline;
-  if (options.use_plan_cache && plan_cache_.enabled()) {
-    std::string norm_sql = PlanCache::NormalizeSql(sql);
-    std::string fingerprint =
-        PlanCache::Fingerprint(EffectivePipelineOptions(options));
-    PlanCache::LookupResult lookup =
-        plan_cache_.Lookup(norm_sql, fingerprint, catalog_);
-    if (lookup.plan != nullptr) {
-      plan_cache_hit = true;
-      pipeline = PipelineFromCache(*lookup.plan);
-      RecordPlanCacheMetrics(pc_metrics, /*hit=*/true, false, 0);
-    } else {
-      SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*ex.query, options));
-      int evictions =
-          CachePlan(pipeline, norm_sql, fingerprint, CountParams(*pipeline.graph));
-      RecordPlanCacheMetrics(pc_metrics, /*hit=*/false, lookup.invalidated,
-                             evictions);
-    }
-  } else {
-    SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*ex.query, options));
-  }
-  if (progress != nullptr && pipeline.graph->top() != nullptr) {
-    CardinalityEstimator est(pipeline.graph.get(), &catalog_);
-    progress->SetEstRows(est.Estimate(pipeline.graph->top()).rows);
-  }
+  SM_ASSIGN_OR_RETURN(PipelineResult pipeline,
+                      CompileCached(*ex.query, sql, options, &plan_cache_hit));
 
+  // ANALYZE executes exactly as a plain SELECT does; the report replaces
+  // the result table below.
   QueryResult result;
-  result.plan_cache_hit = plan_cache_hit;
-  result.cost_no_emst = pipeline.cost_no_emst;
-  result.cost_with_emst = pipeline.cost_with_emst;
-  result.emst_applied = pipeline.emst_applied;
-  result.emst_chosen = pipeline.emst_chosen;
-  result.rewrite_applications = pipeline.rewrite_applications;
-
-  MetricsRegistry* metrics = options.internal ? nullptr : options.metrics;
   std::string warnings;
   if (ex.analyze) {
-    ResourceGovernor governor(
-        options.internal ? ResourceBudget::Unlimited() : options.budget,
-        options.internal ? nullptr : options.cancel_token);
-    ExecOptions exec_options;
-    exec_options.memoize_correlation =
-        options.strategy != ExecutionStrategy::kCorrelated;
-    exec_options.tracer = options.tracer;
-    exec_options.collect_box_stats = true;
-    exec_options.num_threads = options.num_threads;
-    exec_options.morsel_size = options.morsel_size;
-    exec_options.governor = &governor;
-    exec_options.progress = progress;
-    if (progress != nullptr) progress->SetPhase(QueryPhase::kExecute);
-    Executor executor(pipeline.graph.get(), &catalog_, exec_options);
-    Result<Table> run = executor.Run();
-    RecordParallelMetrics(metrics, executor.parallel_stats());
-    *governor_out = governor.Stats();
-    RecordGovernorMetrics(metrics, governor,
-                          run.ok() ? Status::OK() : run.status());
-    if (!run.ok()) return run.status();
-    Table discarded = std::move(*run);
-    result.governor = *governor_out;
-    result.exec_stats = executor.stats();
-    result.box_stats = executor.box_stats();
-    result.result_rows = discarded.num_rows();
-    RecordExecMetrics(metrics, result.exec_stats, result.result_rows);
-    RecordQErrors(*pipeline.graph, &catalog_, result.box_stats, metrics,
+    SM_ASSIGN_OR_RETURN(result,
+                        RunPipeline(&pipeline, options,
+                                    /*collect_box_stats=*/true, progress,
+                                    governor_out));
+    RecordQErrors(*pipeline.graph, &catalog_, result.box_stats,
+                  options.internal ? nullptr : options.metrics,
                   options.tracer, &warnings);
-    if (result.emst_applied) {
-      result.decision_audit = AuditPlanDecision(
-          result.cost_no_emst, result.cost_with_emst, result.emst_chosen,
-          result.exec_stats.TotalWork(), options.mispredict_ratio, metrics,
-          options.tracer);
-      result.decision_audited = true;
-    }
+  } else {
+    result = CompiledResult(&pipeline);
   }
+  result.plan_cache_hit = plan_cache_hit;
 
   std::string report =
       StrCat(ex.analyze ? "EXPLAIN ANALYZE" : "EXPLAIN",
@@ -659,9 +644,9 @@ Result<QueryResult> Database::RunExplain(const AstExplain& ex,
              " emst_chosen=", result.emst_chosen ? "true" : "false",
              " threads=", options.num_threads,
              " plan_cache=", plan_cache_hit ? "hit" : "miss", "\n");
-  if (!pipeline.rule_fires.empty()) {
+  if (!result.rule_fires.empty()) {
     report += "rule fires:\n";
-    report += RuleFireTable(pipeline.rule_fires);
+    report += RuleFireTable(result.rule_fires);
   }
 
   CardinalityEstimator estimator(pipeline.graph.get(), &catalog_);
@@ -721,7 +706,6 @@ Result<QueryResult> Database::RunExplain(const AstExplain& ex,
     report += warnings;
   }
   result.analyze_report = report;
-  result.rule_fires = std::move(pipeline.rule_fires);
   result.table = ReportTable(report);
   if (options.capture_plan_report) {
     result.plan_report = PrintGraph(*pipeline.graph);
@@ -767,38 +751,12 @@ Result<QueryResult> Database::QueryInternal(const std::string& sql,
         "through Query(); use Execute() for DDL/DML");
   }
   const auto& select = static_cast<const AstSelectStatement&>(*stmt);
-  MetricsRegistry* pc_metrics = options.internal ? nullptr : options.metrics;
   bool plan_cache_hit = false;
-  PipelineResult pipeline;
-  if (options.use_plan_cache && plan_cache_.enabled()) {
-    std::string norm_sql = PlanCache::NormalizeSql(sql);
-    std::string fingerprint =
-        PlanCache::Fingerprint(EffectivePipelineOptions(options));
-    PlanCache::LookupResult lookup =
-        plan_cache_.Lookup(norm_sql, fingerprint, catalog_);
-    if (lookup.plan != nullptr) {
-      plan_cache_hit = true;
-      pipeline = PipelineFromCache(*lookup.plan);
-      RecordPlanCacheMetrics(pc_metrics, /*hit=*/true, false, 0);
-    } else {
-      SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*select.blob, options));
-      int evictions = CachePlan(pipeline, norm_sql, fingerprint,
-                                CountParams(*pipeline.graph));
-      RecordPlanCacheMetrics(pc_metrics, /*hit=*/false, lookup.invalidated,
-                             evictions);
-    }
-  } else {
-    SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*select.blob, options));
-  }
-  if (progress != nullptr) {
-    if (pipeline.graph->top() != nullptr) {
-      CardinalityEstimator est(pipeline.graph.get(), &catalog_);
-      progress->SetEstRows(est.Estimate(pipeline.graph->top()).rows);
-    }
-    progress->SetPhase(QueryPhase::kExecute);
-  }
+  SM_ASSIGN_OR_RETURN(
+      PipelineResult pipeline,
+      CompileCached(*select.blob, sql, options, &plan_cache_hit));
   Result<QueryResult> run = RunPipeline(
-      std::move(pipeline), options, /*collect_box_stats=*/false, progress,
+      &pipeline, options, /*collect_box_stats=*/false, progress,
       governor_out);
   if (run.ok()) (*run).plan_cache_hit = plan_cache_hit;
   return run;
@@ -826,13 +784,7 @@ Result<QueryResult> Database::RunPrepare(const AstPrepare& prep,
   }
   prepared_[key] = PreparedStatement{prep.name, prep.body_sql,
                                      prep.num_params};
-  QueryResult result;
-  result.cost_no_emst = pipeline.cost_no_emst;
-  result.cost_with_emst = pipeline.cost_with_emst;
-  result.emst_applied = pipeline.emst_applied;
-  result.emst_chosen = pipeline.emst_chosen;
-  result.rewrite_applications = pipeline.rewrite_applications;
-  result.rule_fires = std::move(pipeline.rule_fires);
+  QueryResult result = CompiledResult(&pipeline);
   result.table = ReportTable(StrCat("PREPARE ", prep.name));
   return result;
 }
@@ -875,15 +827,8 @@ Result<QueryResult> Database::RunExecute(const AstExecute& exec,
                            evictions);
   }
   SM_RETURN_IF_ERROR(BindParameters(pipeline.graph.get(), exec.args));
-  if (progress != nullptr) {
-    if (pipeline.graph->top() != nullptr) {
-      CardinalityEstimator est(pipeline.graph.get(), &catalog_);
-      progress->SetEstRows(est.Estimate(pipeline.graph->top()).rows);
-    }
-    progress->SetPhase(QueryPhase::kExecute);
-  }
   Result<QueryResult> run = RunPipeline(
-      std::move(pipeline), options, /*collect_box_stats=*/false, progress,
+      &pipeline, options, /*collect_box_stats=*/false, progress,
       governor_out);
   if (run.ok()) (*run).plan_cache_hit = plan_cache_hit;
   return run;

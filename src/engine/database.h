@@ -216,15 +216,27 @@ class Database {
   Result<PipelineResult> OptimizeBlob(const AstBlob& blob,
                                       const QueryOptions& options);
 
-  /// Executes an already-optimized pipeline result. *governor_out is
-  /// filled with the run's governor stats even when execution fails (the
-  /// query log records peak bytes for aborted queries too). `progress`
-  /// (may be null) receives live execution updates.
-  Result<QueryResult> RunPipeline(PipelineResult pipeline,
+  /// Executes an already-optimized pipeline result — the one place that
+  /// builds a query's governor and runs an Executor (SELECT, EXECUTE and
+  /// EXPLAIN ANALYZE). Moves the rule fires out of `*pipeline`; its graph
+  /// stays with the caller. *governor_out is filled with the run's
+  /// governor stats even when execution fails (the query log records peak
+  /// bytes for aborted queries too). `progress` (may be null) receives the
+  /// estimate, the execute phase and live execution updates.
+  Result<QueryResult> RunPipeline(PipelineResult* pipeline,
                                   const QueryOptions& options,
                                   bool collect_box_stats,
                                   ProgressTracker* progress,
                                   GovernorStats* governor_out);
+
+  /// Compiles `blob`, the query of statement `sql`, through the plan cache
+  /// when options.use_plan_cache is set (the normalized `sql` is the key):
+  /// a hit clones the cached plan, a miss optimizes and caches it.
+  /// *plan_cache_hit reports which.
+  Result<PipelineResult> CompileCached(const AstBlob& blob,
+                                       const std::string& sql,
+                                       const QueryOptions& options,
+                                       bool* plan_cache_hit);
 
   /// EXPLAIN [ANALYZE]: builds the annotated-plan result. `sql` is the
   /// full statement text — the plan-cache key when use_plan_cache is set.

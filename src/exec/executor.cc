@@ -2,17 +2,20 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 
 #include "common/string_util.h"
 #include "exec/aggregate.h"
 #include "exec/join.h"
-#include "governor/governor.h"
 #include "sys/system_tables.h"
 
 namespace starmagic {
 
 namespace {
+
+// Safety cap on the rounds of one recursive SCC. Naive evaluation of a
+// monotone program converges long before; the user-facing cap is
+// ResourceBudget::max_fixpoint_iterations.
+constexpr int kMaxFixpointRoundsPerScc = 100'000;
 
 // Governor charge for one joined row combination. Content-based (combo
 // arity only), so the charge for a step's combinations is identical
@@ -37,40 +40,18 @@ Result<bool> AllTrue(const std::vector<const Expr*>& preds, const RowEnv& env,
 
 }  // namespace
 
-void ExecStats::MergeFrom(const ExecStats& other) {
-  rows_scanned += other.rows_scanned;
-  rows_produced += other.rows_produced;
-  join_probes += other.join_probes;
-  box_evaluations += other.box_evaluations;
-  fixpoint_iterations += other.fixpoint_iterations;
-  index_probes += other.index_probes;
-  index_rows_fetched += other.index_rows_fetched;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-}
-
-std::string ExecStats::ToString() const {
-  return StrCat("scanned=", rows_scanned, " produced=", rows_produced,
-                " probes=", join_probes, " evals=", box_evaluations,
-                " fixpoint_iters=", fixpoint_iterations,
-                " index_probes=", index_probes,
-                " index_fetched=", index_rows_fetched,
-                " cache_hits=", cache_hits, " cache_misses=", cache_misses,
-                " work=", TotalWork());
-}
-
 Executor::Executor(QueryGraph* graph, const Catalog* catalog,
                    ExecOptions options)
-    : graph_(graph), catalog_(catalog), options_(options) {
+    : graph_(graph),
+      catalog_(catalog),
+      options_(options),
+      ctx_(options, &stats_) {
   strata_ = graph_->ComputeStrata();
   for (int box_id : strata_.recursive_boxes) {
     scc_members_[strata_.scc_id[box_id]].push_back(box_id);
   }
   if (options_.num_threads > 1) {
-    pool_ = std::make_unique<WorkerPool>(options_.num_threads,
-                                         options_.tracer,
-                                         options_.governor,
-                                         options_.progress);
+    pool_ = std::make_unique<WorkerPool>(options_.num_threads, &ctx_);
   }
 }
 
@@ -80,10 +61,7 @@ Executor::~Executor() {
   // destruction order. Aborted queries may have reserved bytes that never
   // reached cache_charged_bytes_ — releasing less than was reserved is
   // safe, over-releasing never happens.
-  if (options_.governor != nullptr && cache_charged_bytes_ > 0) {
-    options_.governor->Release(cache_charged_bytes_);
-    cache_charged_bytes_ = 0;
-  }
+  ctx_.Release(cache_charged_bytes_);
 }
 
 struct Executor::JoinStep {
@@ -110,16 +88,15 @@ Status Executor::RunStep(JoinStep* step, int64_t rows, bool parallel_ok,
     }
     return Status::OK();
   };
-  ResourceGovernor* const gov = options_.governor;
   const bool split_rows = combos < rows;
   if (pool_ == nullptr || !parallel_ok ||
       (split_rows ? rows : combos) <= options_.morsel_size) {
     SM_RETURN_IF_ERROR(run(0, combos, 0, rows, &step->next, &stats_));
-    if (gov != nullptr) {
+    if (ctx_.governed()) {
       int64_t bytes = 0;
       for (const Combo& combo : step->next) bytes += ComboBytes(combo);
       step->next_bytes += bytes;
-      SM_RETURN_IF_ERROR(gov->Reserve(bytes));
+      SM_RETURN_IF_ERROR(ctx_.Reserve(bytes));
     }
     return Status::OK();
   }
@@ -140,7 +117,7 @@ Status Executor::RunStep(JoinStep* step, int64_t rows, bool parallel_ok,
           ComboVec* out = &buffers[static_cast<size_t>(morsel)];
           SM_RETURN_IF_ERROR(range(begin, end, out,
                                    &worker_stats[static_cast<size_t>(worker)]));
-          if (gov != nullptr) {
+          if (ctx_.governed()) {
             // Charge this morsel's buffer as it completes. Within the step
             // reservations only grow and the per-combo charge is
             // content-based, so the step's byte total — and thus the
@@ -148,7 +125,7 @@ Status Executor::RunStep(JoinStep* step, int64_t rows, bool parallel_ok,
             int64_t bytes = 0;
             for (const Combo& combo : *out) bytes += ComboBytes(combo);
             charged.fetch_add(bytes, std::memory_order_relaxed);
-            SM_RETURN_IF_ERROR(gov->Reserve(bytes));
+            SM_RETURN_IF_ERROR(ctx_.Reserve(bytes));
           }
           return Status::OK();
         });
@@ -242,7 +219,7 @@ Schema InferSchema(const Box& box, const std::vector<Row>& rows) {
 }  // namespace
 
 Result<Table> Executor::Run() {
-  SpanScope run_span(options_.tracer, "execute", "exec");
+  SpanScope run_span(ctx_.tracer(), "execute", "exec");
   Box* top = graph_->top();
   if (top == nullptr) return Status::Internal("query graph has no top box");
   RowEnv env;
@@ -336,10 +313,7 @@ Result<const Table*> Executor::EvalBox(Box* box, const RowEnv& env,
       return &scc_in_progress_->at(box->id());
     }
     if (scc_done_.count(scc)) {
-      ++stats_.cache_hits;
-      // Same per-box bookkeeping as the other two cache-hit paths below,
-      // so EXPLAIN ANALYZE box cache_hits reconcile with ExecStats.
-      if (options_.collect_box_stats) ++box_stats_[box->id()].cache_hits;
+      ctx_.CacheHit(box->id());
     } else {
       ++stats_.cache_misses;
     }
@@ -359,10 +333,10 @@ Result<const Table*> Executor::EvalBox(Box* box, const RowEnv& env,
     // query-local state, so its bytes are charged once — at the
     // coordinator (EvalBox is coordinator-only), hence deterministically —
     // and held to end of query like the snapshot itself.
-    if (options_.governor != nullptr && IsSysTableName(box->table_name()) &&
+    if (ctx_.governed() && IsSysTableName(box->table_name()) &&
         charged_sys_tables_.insert(ToLower(box->table_name())).second) {
       int64_t bytes = TableBytes(*table);
-      SM_RETURN_IF_ERROR(options_.governor->Reserve(bytes));
+      SM_RETURN_IF_ERROR(ctx_.Reserve(bytes));
       cache_charged_bytes_ += bytes;
     }
     return table;
@@ -372,17 +346,16 @@ Result<const Table*> Executor::EvalBox(Box* box, const RowEnv& env,
   if (key.empty()) {
     auto it = cache_.find(box->id());
     if (it != cache_.end()) {
-      ++stats_.cache_hits;
-      if (options_.collect_box_stats) ++box_stats_[box->id()].cache_hits;
+      ctx_.CacheHit(box->id());
       return &it->second;
     }
     ++stats_.cache_misses;
     SM_ASSIGN_OR_RETURN(Table result, ComputeBox(box, env));
-    if (options_.governor != nullptr) {
+    if (ctx_.governed()) {
       // Cached results live until the executor dies; ~Executor releases
       // the accumulated cache charges exactly once.
       int64_t bytes = TableBytes(result);
-      SM_RETURN_IF_ERROR(options_.governor->Reserve(bytes));
+      SM_RETURN_IF_ERROR(ctx_.Reserve(bytes));
       cache_charged_bytes_ += bytes;
     }
     return &cache_.emplace(box->id(), std::move(result)).first->second;
@@ -391,15 +364,14 @@ Result<const Table*> Executor::EvalBox(Box* box, const RowEnv& env,
     auto& per_box = corr_cache_[box->id()];
     auto it = per_box.find(key);
     if (it != per_box.end()) {
-      ++stats_.cache_hits;
-      if (options_.collect_box_stats) ++box_stats_[box->id()].cache_hits;
+      ctx_.CacheHit(box->id());
       return &it->second;
     }
     ++stats_.cache_misses;
     SM_ASSIGN_OR_RETURN(Table result, ComputeBox(box, env));
-    if (options_.governor != nullptr) {
+    if (ctx_.governed()) {
       int64_t bytes = RowBytes(key) + TableBytes(result);
-      SM_RETURN_IF_ERROR(options_.governor->Reserve(bytes));
+      SM_RETURN_IF_ERROR(ctx_.Reserve(bytes));
       cache_charged_bytes_ += bytes;
     }
     return &per_box.emplace(std::move(key), std::move(result)).first->second;
@@ -410,62 +382,14 @@ Result<const Table*> Executor::EvalBox(Box* box, const RowEnv& env,
 }
 
 Result<Table> Executor::ComputeBox(Box* box, const RowEnv& env) {
-  if (options_.governor != nullptr) {
-    // Cooperative cancellation point: every box materialization (including
-    // one per correlated binding and per fixpoint round) polls the
-    // governor, so sequential execution aborts at box granularity even
-    // when no worker pool exists.
-    SM_RETURN_IF_ERROR(options_.governor->CheckPoint());
-  }
-  if (options_.progress != nullptr) {
-    // Piggybacked on the cancellation site: two wait-free relaxed stores
-    // publishing "rows so far" and the governor's peak to live snapshots.
-    options_.progress->SetRowsProduced(stats_.rows_produced);
-    if (options_.governor != nullptr) {
-      options_.progress->SetPeakBytes(options_.governor->peak_bytes());
-    }
-  }
+  // Every box materialization (one per correlated binding and per fixpoint
+  // round) is a checkpoint, so sequential execution aborts at box
+  // granularity even when no worker pool exists.
+  SM_RETURN_IF_ERROR(ctx_.Checkpoint());
   ++stats_.box_evaluations;
-  const bool tracing =
-      options_.tracer != nullptr && options_.tracer->enabled();
-  if (!options_.collect_box_stats && !tracing) {
-    Result<Table> result = DispatchBox(box, env);
-    if (result.ok() && options_.governor != nullptr) {
-      SM_RETURN_IF_ERROR(
-          options_.governor->CheckOutputRows(stats_.rows_produced));
-    }
-    return result;
-  }
-
-  using Clock = std::chrono::steady_clock;
-  BoxExecStats& bstats = box_stats_[box->id()];
-  ++bstats.evaluations;
-  // A correlated box is evaluated once per binding; after the first few a
-  // per-evaluation span adds nothing but trace bloat, so only the earliest
-  // evaluations of each box get spans (stats keep accumulating for all).
-  constexpr int64_t kMaxSpansPerBox = 32;
-  SpanScope span(
-      tracing && bstats.evaluations <= kMaxSpansPerBox ? options_.tracer
-                                                       : nullptr,
-      box->DebugId(), "exec");
-  const int64_t probes_before = stats_.join_probes + stats_.index_probes;
-  Clock::time_point start = Clock::now();
-  Result<Table> result = DispatchBox(box, env);
-  bstats.wall_ms += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        Clock::now() - start)
-                        .count() /
-                    1e6;
-  bstats.probes += stats_.join_probes + stats_.index_probes - probes_before;
-  if (result.ok()) {
-    bstats.rows_out += result->num_rows();
-    span.SetAttribute("rows_out", result->num_rows());
-    span.SetAttribute(
-        "probes", stats_.join_probes + stats_.index_probes - probes_before);
-    if (options_.governor != nullptr) {
-      SM_RETURN_IF_ERROR(
-          options_.governor->CheckOutputRows(stats_.rows_produced));
-    }
-  }
+  ExecContext::BoxScope scope(&ctx_, *box);
+  SM_ASSIGN_OR_RETURN(Table result, DispatchBox(box, env));
+  SM_RETURN_IF_ERROR(scope.Finish(result.num_rows()));
   return result;
 }
 
@@ -540,7 +464,7 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
   // on successful completion; on error the query aborts and the charges
   // die with the governor. Releases happen only at coordinator points
   // between parallel steps, which keeps peak bytes thread-count invariant.
-  ResourceGovernor* const gov = options_.governor;
+  const bool governed = ctx_.governed();
   const int64_t check_stride = std::max<int64_t>(1, options_.morsel_size);
   int64_t current_bytes = 0;
   int64_t arena_bytes = 0;
@@ -819,10 +743,10 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
               // the rest of the step output.
               arena.push_back(row);
               out->back().back() = &arena.back();
-              if (gov != nullptr) {
+              if (governed) {
                 int64_t rb = RowBytes(arena.back());
                 arena_bytes += rb;
-                SM_RETURN_IF_ERROR(gov->Reserve(rb));
+                SM_RETURN_IF_ERROR(ctx_.Reserve(rb));
               }
             }
             return Status::OK();
@@ -837,10 +761,10 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
         for (const Row& row : scratch.rows()) arena.push_back(row);
         auto it = arena.end() - scratch.num_rows();
         for (; it != arena.end(); ++it) input_rows.push_back(&*it);
-        if (gov != nullptr) {
+        if (governed) {
           int64_t sb = TableBytes(scratch);
           arena_bytes += sb;
-          SM_RETURN_IF_ERROR(gov->Reserve(sb));
+          SM_RETURN_IF_ERROR(ctx_.Reserve(sb));
         }
       } else {
         input_rows.reserve(static_cast<size_t>(t->num_rows()));
@@ -866,20 +790,20 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
             key.push_back(
                 (*input_rows[ri])[static_cast<size_t>(hp.own_side->column_index)]);
           }
-          if (gov != nullptr) {
+          if (governed) {
             build_chunk += RowBytes(key) + static_cast<int64_t>(sizeof(int));
             if (--build_until_check == 0) {
               build_until_check = check_stride;
               build_bytes += build_chunk;
-              SM_RETURN_IF_ERROR(gov->Reserve(build_chunk));
+              SM_RETURN_IF_ERROR(ctx_.Reserve(build_chunk));
               build_chunk = 0;
             }
           }
           table.Insert(std::move(key), static_cast<int>(ri));
         }
-        if (gov != nullptr && build_chunk > 0) {
+        if (build_chunk > 0) {
           build_bytes += build_chunk;
-          SM_RETURN_IF_ERROR(gov->Reserve(build_chunk));
+          SM_RETURN_IF_ERROR(ctx_.Reserve(build_chunk));
         }
         // The build table is shared read-only by every probe. It dies
         // with this step, but its bytes are held until the end-of-step
@@ -919,15 +843,10 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
             }));
       }
     }
-    if (gov != nullptr) {
-      // RunStep charged the step output; used bytes at every step
-      // boundary are the same on the inline and morsel sides.
-      SM_RETURN_IF_ERROR(gov->CheckPoint());
-      gov->Release(current_bytes + step_build_bytes);
-      if (options_.progress != nullptr) {
-        options_.progress->SetPeakBytes(gov->peak_bytes());
-      }
-    }
+    // RunStep charged the step output; used bytes at every step boundary
+    // are the same on the inline and morsel sides.
+    SM_RETURN_IF_ERROR(ctx_.Checkpoint());
+    ctx_.Release(current_bytes + step_build_bytes);
     bound.push_back(q->id);
     current = std::move(step.next);
     current_bytes = step.next_bytes;
@@ -943,16 +862,13 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
   std::vector<Row> produced;
   int64_t until_check = check_stride;
   for (const auto& combo : current) {
-    // The projection/E-A phase is a coordinator loop; poll the governor
-    // every morsel's worth of combinations so a cancel or deadline lands
-    // here too, not just at join steps. Countdown rather than modulo —
-    // this runs per output row, and a 64-bit division here is measurable.
-    if (gov != nullptr && --until_check == 0) {
+    // The projection/E-A phase is a coordinator loop; checkpoint every
+    // morsel's worth of combinations so a cancel or deadline lands here
+    // too, not just at join steps. Countdown rather than modulo — this
+    // runs per output row, and a 64-bit division here is measurable.
+    if (--until_check == 0) {
       until_check = check_stride;
-      SM_RETURN_IF_ERROR(gov->CheckPoint());
-      if (options_.progress != nullptr) {
-        options_.progress->SetPeakBytes(gov->peak_bytes());
-      }
+      SM_RETURN_IF_ERROR(ctx_.Checkpoint());
     }
     RowEnv rowenv(&box_env);
     for (size_t i = 0; i < bound.size(); ++i) rowenv.Bind(bound[i], combo[i]);
@@ -1029,7 +945,7 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
   // Successful completion: the join state (combos + arena) dies here, so
   // return its bytes. Error paths above skip this — the query is aborting
   // and its governor's ledger dies with it.
-  if (gov != nullptr) gov->Release(current_bytes + arena_bytes);
+  ctx_.Release(current_bytes + arena_bytes);
   return out;
 }
 
@@ -1230,7 +1146,7 @@ Status Executor::EnsureSccEvaluated(int scc_id) {
     }
   }
 
-  SpanScope fixpoint_span(options_.tracer, StrCat("fixpoint scc ", scc_id),
+  SpanScope fixpoint_span(ctx_.tracer(), StrCat("fixpoint scc ", scc_id),
                           "exec");
   fixpoint_span.SetAttribute("members", static_cast<int64_t>(members.size()));
 
@@ -1242,8 +1158,17 @@ Status Executor::EnsureSccEvaluated(int scc_id) {
     state.emplace(bid, Table(graph_->GetBox(bid)->label(), Schema{}));
   }
   RowEnv env;
-  const std::map<int, Table>* prev_in_progress = scc_in_progress_;
-  int prev_id = scc_in_progress_id_;
+  // Members read `state` while the SCC is in progress; the previous
+  // in-progress SCC comes back on every exit path.
+  struct InProgress {
+    Executor* self;
+    const std::map<int, Table>* prev = self->scc_in_progress_;
+    int prev_id = self->scc_in_progress_id_;
+    ~InProgress() {
+      self->scc_in_progress_ = prev;
+      self->scc_in_progress_id_ = prev_id;
+    }
+  } in_progress{this};
   scc_in_progress_ = &state;
   scc_in_progress_id_ = scc_id;
 
@@ -1251,65 +1176,32 @@ Status Executor::EnsureSccEvaluated(int scc_id) {
   int iterations = 0;
   std::vector<int> ordered = members;
   std::sort(ordered.begin(), ordered.end());
-  ResourceGovernor* const gov = options_.governor;
   while (changed) {
     changed = false;
-    if (++iterations > options_.max_fixpoint_iterations) {
-      scc_in_progress_ = prev_in_progress;
-      scc_in_progress_id_ = prev_id;
+    if (++iterations > kMaxFixpointRoundsPerScc) {
       return Status::ExecutionError("recursive fixpoint did not converge");
     }
     ++stats_.fixpoint_iterations;
-    if (options_.progress != nullptr) {
-      options_.progress->SetFixpointRound(stats_.fixpoint_iterations);
-    }
-    if (gov != nullptr) {
-      // Governor round boundary: cancellation/deadline poll plus the
-      // fixpoint-iteration budget (cumulative across the query's SCCs).
-      Status gst = gov->CheckPoint();
-      if (gst.ok()) {
-        gst = gov->CheckFixpointIteration(stats_.fixpoint_iterations);
-      }
-      if (!gst.ok()) {
-        scc_in_progress_ = prev_in_progress;
-        scc_in_progress_id_ = prev_id;
-        return gst;
-      }
-    }
+    SM_RETURN_IF_ERROR(ctx_.FixpointRound());
     for (int bid : ordered) {
-      Box* b = graph_->GetBox(bid);
-      Result<Table> next = ComputeBox(b, env);
-      if (!next.ok()) {
-        scc_in_progress_ = prev_in_progress;
-        scc_in_progress_id_ = prev_id;
-        return next.status();
-      }
-      if (next->num_rows() != state.at(bid).num_rows()) changed = true;
-      if (gov != nullptr) {
+      SM_ASSIGN_OR_RETURN(Table next, ComputeBox(graph_->GetBox(bid), env));
+      if (next.num_rows() != state.at(bid).num_rows()) changed = true;
+      if (ctx_.governed()) {
         // Swap the member's relation charge: new total in, old total out
         // (reserve-then-release so the transient double-count is what a
         // real copy would occupy). The charge survives convergence — the
         // state tables move into the box-result cache below.
-        int64_t old_bytes = TableBytes(state.at(bid));
-        int64_t new_bytes = TableBytes(*next);
-        Status gst = gov->Reserve(new_bytes);
-        if (!gst.ok()) {
-          scc_in_progress_ = prev_in_progress;
-          scc_in_progress_id_ = prev_id;
-          return gst;
-        }
-        gov->Release(old_bytes);
+        SM_RETURN_IF_ERROR(ctx_.Reserve(TableBytes(next)));
+        ctx_.Release(TableBytes(state.at(bid)));
       }
-      state.at(bid) = std::move(*next);
+      state.at(bid) = std::move(next);
     }
   }
-  scc_in_progress_ = prev_in_progress;
-  scc_in_progress_id_ = prev_id;
   for (int bid : ordered) {
     // The per-round reserve/release swaps above left exactly the final
     // relation's bytes charged; the table now joins the box-result cache,
     // so record that residual for the destructor's single release.
-    if (gov != nullptr) cache_charged_bytes_ += TableBytes(state.at(bid));
+    if (ctx_.governed()) cache_charged_bytes_ += TableBytes(state.at(bid));
     cache_.emplace(bid, std::move(state.at(bid)));
   }
   scc_done_.insert(scc_id);

@@ -10,10 +10,8 @@
 
 #include "catalog/catalog.h"
 #include "exec/eval.h"
+#include "exec/exec_context.h"
 #include "exec/join.h"
-#include "governor/governor.h"
-#include "obs/progress.h"
-#include "obs/trace.h"
 #include "parallel/worker_pool.h"
 #include "qgm/graph.h"
 
@@ -30,8 +28,6 @@ struct ExecOptions {
   bool use_secondary_indexes = true;
   /// Hard cap on rows produced by any single box evaluation (safety).
   int64_t max_rows_per_box = 200'000'000;
-  /// Cap on fixpoint iterations for recursive components.
-  int max_fixpoint_iterations = 100'000;
   /// Span sink for per-box evaluation spans and fixpoint spans. No-op when
   /// null or disabled.
   Tracer* tracer = nullptr;
@@ -55,56 +51,17 @@ struct ExecOptions {
   /// When set, the executor charges every materialized allocation against
   /// the governor's byte budget — join combination buffers, hash-join
   /// build tables, box-result caches, fixpoint relations — and polls it
-  /// for cancellation/deadline at box entry, morsel boundaries, and each
-  /// fixpoint round. Null skips all accounting (zero overhead).
+  /// for cancellation/deadline at the ExecContext checkpoints (box entry,
+  /// join-step ends, projection strides, morsel claims, fixpoint rounds).
+  /// Null skips all accounting (zero overhead).
   ResourceGovernor* governor = nullptr;
   /// Live-progress sink for this query (not owned, may be null). Updated
-  /// with wait-free relaxed stores at the same sites the governor polls —
-  /// box entry (rows so far, governor peak), fixpoint rounds, and morsel
-  /// claims inside the worker pool — so sys.active_queries snapshots see
-  /// execution advance without any new synchronization on the hot path.
+  /// with wait-free relaxed stores at the same ExecContext checkpoints the
+  /// governor polls — rows so far and governor peak at coordinator points,
+  /// the round number at fixpoint rounds, morsels done at morsel claims —
+  /// so sys.active_queries snapshots see execution advance without any new
+  /// synchronization on the hot path.
   ProgressTracker* progress = nullptr;
-};
-
-/// Deterministic work counters (machine-independent evidence for the
-/// benchmark tables, next to wall-clock time).
-struct ExecStats {
-  int64_t rows_scanned = 0;     ///< input rows consumed by operators
-  int64_t rows_produced = 0;    ///< rows emitted by box evaluations
-  int64_t join_probes = 0;      ///< hash probes + nested-loop comparisons
-  int64_t box_evaluations = 0;  ///< materializations (incl. per-binding)
-  int64_t fixpoint_iterations = 0;
-  int64_t index_probes = 0;       ///< secondary-index lookups (eq or range)
-  int64_t index_rows_fetched = 0; ///< rows returned by index lookups
-  // Box-result cache behaviour (uncorrelated cache + correlated-binding
-  // memo). Deliberately excluded from TotalWork(): a hit avoids work, and
-  // the cross-strategy work comparisons must not shift with cache luck.
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-
-  int64_t TotalWork() const {
-    return rows_scanned + rows_produced + join_probes + index_probes +
-           index_rows_fetched;
-  }
-  /// Adds every counter of `other` into this. Addition is commutative, so
-  /// merging per-worker stats in any order yields totals identical to a
-  /// sequential run's.
-  void MergeFrom(const ExecStats& other);
-  std::string ToString() const;
-};
-
-/// Per-box runtime statistics, collected when ExecOptions::collect_box_stats
-/// is set (EXPLAIN ANALYZE). `wall_ms` and `probes` are inclusive of child
-/// box evaluations performed during this box's evaluation; `rows_out` sums
-/// across all evaluations of the box (one per correlated binding, one per
-/// fixpoint iteration), so summing rows_out over all boxes reproduces
-/// ExecStats::rows_produced exactly.
-struct BoxExecStats {
-  int64_t evaluations = 0;
-  int64_t rows_out = 0;
-  int64_t cache_hits = 0;
-  int64_t probes = 0;  ///< join + index probes, inclusive of children
-  double wall_ms = 0;  ///< inclusive wall time
 };
 
 /// Evaluates a QGM query graph bottom-up with materialized intermediate
@@ -132,8 +89,11 @@ class Executor {
 
   const ExecStats& stats() const { return stats_; }
 
-  /// Per-box stats keyed by box id; empty unless collect_box_stats.
-  const std::map<int, BoxExecStats>& box_stats() const { return box_stats_; }
+  /// Per-box stats keyed by box id; empty unless collect_box_stats or
+  /// tracing is on.
+  const std::map<int, BoxExecStats>& box_stats() const {
+    return ctx_.box_stats();
+  }
 
   /// Wall-clock-side parallel counters (tasks, morsels, wait times); all
   /// zero when num_threads == 1. Not part of the deterministic ExecStats.
@@ -153,7 +113,7 @@ class Executor {
   Result<const Table*> EvalBox(Box* box, const RowEnv& env, Table* scratch);
 
   Result<Table> ComputeBox(Box* box, const RowEnv& env);
-  /// Kind dispatch without the instrumentation wrapper of ComputeBox.
+  /// Kind dispatch without the checkpoint and BoxScope of ComputeBox.
   Result<Table> DispatchBox(Box* box, const RowEnv& env);
   Result<Table> ComputeSelect(Box* box, const RowEnv& env);
   Result<Table> ComputeGroupBy(Box* box, const RowEnv& env);
@@ -204,7 +164,7 @@ class Executor {
   const Catalog* catalog_;
   ExecOptions options_;
   ExecStats stats_;
-  std::map<int, BoxExecStats> box_stats_;
+  ExecContext ctx_;  ///< every governor, progress, trace and box-stats hook
   std::unique_ptr<WorkerPool> pool_;  ///< null when num_threads == 1
 
   /// sys.* snapshot tables already charged to the governor (lower-case

@@ -4,8 +4,7 @@
 #include <chrono>
 
 #include "common/string_util.h"
-#include "governor/governor.h"
-#include "obs/progress.h"
+#include "exec/exec_context.h"
 
 namespace starmagic {
 
@@ -19,14 +18,16 @@ int64_t ElapsedUs(Clock::time_point since) {
       .count();
 }
 
+const ExecContext& NoSinks() {
+  static const ExecContext kNone;
+  return kNone;
+}
+
 }  // namespace
 
-WorkerPool::WorkerPool(int num_threads, Tracer* tracer,
-                       ResourceGovernor* governor, ProgressTracker* progress)
+WorkerPool::WorkerPool(int num_threads, const ExecContext* context)
     : num_threads_(std::max(1, num_threads)),
-      tracer_(tracer),
-      governor_(governor),
-      progress_(progress) {
+      context_(context != nullptr ? *context : NoSinks()) {
   helpers_.reserve(static_cast<size_t>(num_threads_ - 1));
   for (int w = 1; w < num_threads_; ++w) {
     helpers_.emplace_back([this, w] { HelperMain(w); });
@@ -76,13 +77,9 @@ void WorkerPool::RunLoop(int worker_id) {
   int64_t end = 0;
   while (queue_.Next(&morsel, &begin, &end)) {
     ++local_morsels;
-    // Cooperative cancellation point: poll the governor before starting
-    // each morsel so cancel/deadline aborts land at morsel granularity.
-    // The progress bump shares the site — one wait-free relaxed increment
-    // visible to concurrent sys.active_queries snapshots.
-    if (progress_ != nullptr) progress_->AddMorselDone();
-    Status status =
-        governor_ != nullptr ? governor_->CheckPoint() : Status::OK();
+    // Cooperative cancellation point before each morsel, so cancel and
+    // deadline aborts land at morsel granularity.
+    Status status = context_.MorselCheckpoint();
     if (status.ok()) status = (*fn_)(morsel, begin, end, worker_id);
     if (!status.ok()) {
       // Keep the error of the lowest-indexed failing morsel. Morsels are
@@ -112,8 +109,8 @@ Status WorkerPool::ForEachMorsel(int64_t total, int64_t morsel_size,
                                  const MorselFn& fn) {
   if (total <= 0) return Status::OK();
   queue_.Reset(total, morsel_size);
-  if (progress_ != nullptr) progress_->AddMorselsTotal(queue_.num_morsels());
-  tracing_ = tracer_ != nullptr && tracer_->enabled();
+  context_.BeginMorselLoop(queue_.num_morsels());
+  tracing_ = context_.tracer() != nullptr;
   span_buffers_.assign(
       tracing_ ? static_cast<size_t>(num_threads_) : 0, SpanBuffer{});
   err_morsel_ = -1;
@@ -138,8 +135,8 @@ Status WorkerPool::ForEachMorsel(int64_t total, int64_t morsel_size,
     // Workers have quiesced (barrier above), so the coordinator may touch
     // the single-threaded Tracer; worker lanes get tids 2, 3, ...
     for (int w = 0; w < num_threads_; ++w) {
-      tracer_->MergeSpanBuffer(span_buffers_[static_cast<size_t>(w)],
-                               /*tid=*/w + 2);
+      context_.tracer()->MergeSpanBuffer(
+          span_buffers_[static_cast<size_t>(w)], /*tid=*/w + 2);
     }
   }
   if (err_morsel_ >= 0) return err_;

@@ -14,8 +14,7 @@
 
 namespace starmagic {
 
-class ProgressTracker;
-class ResourceGovernor;
+class ExecContext;
 
 /// A fixed pool of worker threads executing morsel-driven loops over row
 /// ranges. The constructing (coordinator) thread participates in every
@@ -39,22 +38,19 @@ class WorkerPool {
       std::function<Status(int64_t morsel, int64_t begin, int64_t end,
                            int worker)>;
 
-  /// Spawns `num_threads - 1` helpers (clamped to >= 1 total). `tracer`
-  /// may be null; when tracing is enabled each loop records one span per
-  /// participating worker (buffered per worker, merged at the barrier).
-  /// `governor` may be null; when set, every worker polls
-  /// governor->CheckPoint() before each claimed morsel, so cancellation
-  /// and deadlines take effect at morsel granularity. A failed check is
-  /// recorded as that morsel's error — its message names only the
-  /// configured limit, so the surfaced Status is identical at any thread
-  /// count even though *which* morsel trips first is scheduling-dependent.
-  /// `progress` may be null; when set, each loop adds its morsel count to
-  /// the tracker's total and each claimed morsel bumps morsels-done — both
-  /// wait-free relaxed atomics, piggybacked on the governor checkpoint so
-  /// the hot path gains no new synchronization.
-  explicit WorkerPool(int num_threads, Tracer* tracer = nullptr,
-                      ResourceGovernor* governor = nullptr,
-                      ProgressTracker* progress = nullptr);
+  /// Spawns `num_threads - 1` helpers (clamped to >= 1 total). The
+  /// query's sinks come through `context` (not owned, must outlive the
+  /// pool; null means none). Each loop announces its morsel count with
+  /// ExecContext::BeginMorselLoop, and every worker passes
+  /// ExecContext::MorselCheckpoint before each claimed morsel, so
+  /// cancellation and deadlines take effect at morsel granularity. A
+  /// failed check is recorded as that morsel's error — its message names
+  /// only the configured limit, so the surfaced Status is identical at any
+  /// thread count even though *which* morsel trips first is
+  /// scheduling-dependent. When tracing is enabled each loop records one
+  /// span per participating worker (buffered per worker, merged into the
+  /// context's tracer at the barrier).
+  explicit WorkerPool(int num_threads, const ExecContext* context = nullptr);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -79,9 +75,7 @@ class WorkerPool {
   void RunLoop(int worker_id);
 
   const int num_threads_;
-  Tracer* const tracer_;
-  ResourceGovernor* const governor_;
-  ProgressTracker* const progress_;
+  const ExecContext& context_;
   ParallelStats stats_;
 
   std::mutex mu_;

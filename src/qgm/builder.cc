@@ -218,10 +218,17 @@ std::string DeriveItemName(const AstSelectItem& item, int index) {
 Result<Box*> QgmBuilder::BuildBlock(QueryGraph* g, const AstBlock& block,
                                     Scope* correlation,
                                     const std::string& label) {
-  if (NeedsGroupBy(block)) {
-    return BuildGroupByTriplet(g, block, correlation, label);
+  if (depth_ == kMaxDepth) {
+    return Status::SemanticError(
+        StrCat("query nests views, subqueries and derived tables more than ",
+               kMaxDepth, " levels deep"));
   }
-  return BuildSimpleSelect(g, block, correlation, label);
+  ++depth_;
+  Result<Box*> box = NeedsGroupBy(block)
+                         ? BuildGroupByTriplet(g, block, correlation, label)
+                         : BuildSimpleSelect(g, block, correlation, label);
+  --depth_;
+  return box;
 }
 
 Result<Box*> QgmBuilder::BuildSimpleSelect(QueryGraph* g, const AstBlock& block,

@@ -60,6 +60,15 @@ class QgmBuilder {
   std::map<std::string, Box*> view_boxes_;      ///< finished views
   std::map<std::string, Box*> views_in_progress_;  ///< recursive placeholders
   int anon_counter_ = 0;
+
+  /// Blocks under construction, each nested in the one before: the query
+  /// and every view body, subquery and derived table inside it. Every view
+  /// is parsed on its own, so the parser's depth limit cannot bound a
+  /// view-on-view chain; this limit does, and keeps the builder and the
+  /// stages after it (which recurse once or more per nested box) far from
+  /// the end of the stack.
+  static constexpr int kMaxDepth = 256;
+  int depth_ = 0;
 };
 
 /// Splits an AST boolean expression into top-level AND conjuncts

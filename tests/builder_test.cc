@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
+#include "common/string_util.h"
+#include "engine/database.h"
 #include "sql/parser.h"
 
 namespace starmagic {
@@ -302,6 +307,61 @@ TEST_F(BuilderTest, GraphValidatesAfterEveryBuild) {
     auto g = MustBuild(q);
     ASSERT_NE(g, nullptr) << q;
     EXPECT_TRUE(g->Validate().ok()) << q;
+  }
+}
+
+// Each view is parsed on its own, so only the builder sees how deep a chain
+// of views (each possibly adding subqueries or derived tables) nests.
+TEST(BuilderDepthTest, DeepViewChainsAreATypedErrorAndTheLimitRuns) {
+  constexpr int kViews = 20'000;
+  // View i of a chain reads view i-1 ("t" for i = 0) in `body`.
+  const std::vector<std::function<std::string(const std::string&)>> bodies = {
+      [](const std::string& prev) { return "SELECT a FROM " + prev; },
+      [](const std::string& prev) {
+        return "SELECT a FROM (SELECT a FROM " + prev + ") x";
+      },
+      [](const std::string& prev) {
+        return "SELECT a FROM t WHERE a IN (SELECT a FROM " + prev + ")";
+      },
+  };
+  for (size_t shape = 0; shape < bodies.size(); ++shape) {
+    SCOPED_TRACE(bodies[shape]("prev"));
+    Database db;
+    ASSERT_TRUE(db.ExecuteScript(
+                      "CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1);")
+                    .ok());
+    auto view = [&](int i) { return StrCat("v", shape, "_", i); };
+    for (int i = 0; i < kViews; ++i) {
+      ASSERT_TRUE(db.Execute(StrCat("CREATE VIEW ", view(i), " AS ",
+                                    bodies[shape](i == 0 ? "t" : view(i - 1))))
+                      .ok());
+    }
+    auto select = [&](int i) { return "SELECT a FROM " + view(i); };
+    auto too_deep = [&](int i) {
+      auto r = db.Query(select(i));
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kSemanticError);
+      EXPECT_NE(r.status().message().find("levels deep"), std::string::npos)
+          << r.status().ToString();
+    };
+    too_deep(kViews - 1);
+    // Binary search: select(deepest) runs and select(failing) does not.
+    int deepest = 0;
+    int failing = kViews - 1;
+    while (failing - deepest > 1) {
+      const int mid = (deepest + failing) / 2;
+      (db.Query(select(mid)).ok() ? deepest : failing) = mid;
+    }
+    too_deep(deepest + 1);
+    ASSERT_GT(deepest, 50);
+    for (ExecutionStrategy strategy :
+         {ExecutionStrategy::kOriginal, ExecutionStrategy::kCorrelated,
+          ExecutionStrategy::kMagic}) {
+      auto r = db.Query(select(deepest), QueryOptions(strategy));
+      ASSERT_TRUE(r.ok()) << "depth " << deepest << " -> "
+                          << r.status().ToString();
+      EXPECT_EQ(r->table.num_rows(), 1);
+    }
   }
 }
 

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "engine/database.h"
+#include "governor/governor.h"
 #include "obs/decision_audit.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
@@ -560,6 +563,95 @@ TEST_F(ObsQueryTest, ExplainAnalyzeRowsReconcileWithExecStats) {
   EXPECT_NE(result->analyze_report.find("rule fires:"), std::string::npos);
   // The report is also the result table, one line per row.
   EXPECT_GT(result->table.num_rows(), 0);
+}
+
+// The exec.*, governor.* and parallel.* metrics a run recorded: counter
+// values and histogram count/sum. The wall-clock and scheduling-dependent
+// parallel counters are left out.
+std::map<std::string, double> ExecMetricFamilies(const MetricsRegistry& m) {
+  auto keep = [](const std::string& name) {
+    if (name == "parallel.worker_busy_us" ||
+        name == "parallel.barrier_wait_us" ||
+        name == "parallel.morsels_stolen") {
+      return false;
+    }
+    return name.rfind("exec.", 0) == 0 || name.rfind("governor.", 0) == 0 ||
+           name.rfind("parallel.", 0) == 0;
+  };
+  std::map<std::string, double> out;
+  for (const auto& [name, c] : m.counters()) {
+    if (keep(name)) out[name] = static_cast<double>(c.value());
+  }
+  for (const auto& [name, h] : m.histograms()) {
+    if (!keep(name)) continue;
+    out[name + ".count"] = static_cast<double>(h.count());
+    out[name + ".sum"] = h.sum();
+  }
+  return out;
+}
+
+// EXPLAIN ANALYZE executes through the same path as a plain SELECT, so for
+// the same query and options both record the same run.
+TEST_F(ObsQueryTest, ExplainAnalyzeRecordsTheSameRunAsSelect) {
+  Database db;
+  Populate(&db);
+  // The magic plan is audited; the filtered scan splits at 4 threads.
+  const std::string scan = "SELECT empno FROM employee WHERE salary > 21000";
+  for (const std::string& sql : {query_, scan}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(StrCat(sql, " threads=", threads));
+      MetricsRegistry select_metrics;
+      MetricsRegistry explain_metrics;
+      QueryOptions options(ExecutionStrategy::kMagic);
+      options.num_threads = threads;
+      options.morsel_size = 16;
+      options.metrics = &select_metrics;
+      auto select = db.Query(sql, options);
+      options.metrics = &explain_metrics;
+      auto explain = db.Query("EXPLAIN ANALYZE " + sql, options);
+      ASSERT_TRUE(select.ok()) << select.status().ToString();
+      ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+      EXPECT_EQ(select->exec_stats.ToString(),
+                explain->exec_stats.ToString());
+      EXPECT_EQ(select->result_rows, explain->result_rows);
+      EXPECT_GT(select->governor.peak_bytes, 0);
+      EXPECT_EQ(select->governor.peak_bytes, explain->governor.peak_bytes);
+      EXPECT_EQ(select->governor.cancel_checks,
+                explain->governor.cancel_checks);
+      EXPECT_TRUE(select->decision_audited || sql != query_);
+      EXPECT_EQ(explain->decision_audited, select->decision_audited);
+      EXPECT_EQ(select->decision_audit.ToString(),
+                explain->decision_audit.ToString());
+      std::map<std::string, double> families =
+          ExecMetricFamilies(select_metrics);
+      EXPECT_EQ(families.count("governor.cancel_checks"), 1u);
+      if (sql == scan) {
+        EXPECT_EQ(families.count("parallel.tasks"), threads > 1 ? 1u : 0u);
+      }
+      EXPECT_EQ(families, ExecMetricFamilies(explain_metrics));
+    }
+  }
+
+  // A budget violation and a pre-cancelled token fail both the same way.
+  CancellationToken cancelled;
+  cancelled.Cancel();
+  QueryOptions over_budget(ExecutionStrategy::kMagic);
+  over_budget.budget.max_memory_bytes = 64;
+  QueryOptions cancelling(ExecutionStrategy::kMagic);
+  cancelling.cancel_token = &cancelled;
+  for (QueryOptions options : {over_budget, cancelling}) {
+    MetricsRegistry select_metrics;
+    MetricsRegistry explain_metrics;
+    options.metrics = &select_metrics;
+    auto select = db.Query(query_, options);
+    options.metrics = &explain_metrics;
+    auto explain = db.Query("EXPLAIN ANALYZE " + query_, options);
+    ASSERT_FALSE(select.ok());
+    ASSERT_FALSE(explain.ok());
+    EXPECT_EQ(select.status().ToString(), explain.status().ToString());
+    EXPECT_EQ(ExecMetricFamilies(select_metrics),
+              ExecMetricFamilies(explain_metrics));
+  }
 }
 
 TEST_F(ObsQueryTest, PlainExplainSkipsExecution) {

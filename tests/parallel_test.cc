@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/string_util.h"
 #include "engine/database.h"
 #include "governor/governor.h"
 #include "obs/metrics.h"
+#include "obs/progress.h"
 #include "parallel/morsel.h"
 
 namespace starmagic {
@@ -539,6 +541,135 @@ TEST_F(ParallelRecursiveTest, MagicRestrictedFixpointIsDeterministic) {
   QueryOptions magic(ExecutionStrategy::kMagic);
   magic.pipeline.cost_compare = false;  // force the magic plan
   ExpectDeterministic("SELECT dst FROM tc WHERE src = 3", magic);
+}
+
+// ---------------------------------------------------------------------------
+// Sinks observe without perturbing: every on/off combination of governor,
+// progress tracker, enabled tracer and box stats runs the same rows and
+// work, and the governed combinations see the same peak and checkpoints.
+// ---------------------------------------------------------------------------
+
+TEST(ExecContextTest, SinksObserveWithoutPerturbing) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    CREATE TABLE fact (id INTEGER, grp INTEGER, amount DOUBLE);
+    CREATE TABLE dim (grp INTEGER, label VARCHAR);
+    CREATE TABLE edge (src INTEGER, dst INTEGER);
+    CREATE RECURSIVE VIEW tc (src, dst) AS
+      SELECT src, dst FROM edge
+      UNION
+      SELECT t.src, e.dst FROM tc t, edge e WHERE t.dst = e.src;
+  )sql")
+                  .ok());
+  Table* fact = db.catalog()->GetTable("fact");
+  for (int i = 0; i < 300; ++i) {
+    fact->AppendUnchecked(
+        Row{Value::Int(i), Value::Int(i % 17), Value::Double(i * 0.5)});
+  }
+  Table* dim = db.catalog()->GetTable("dim");
+  for (int g = 0; g < 17; ++g) {
+    dim->AppendUnchecked(Row{Value::Int(g), Value::String(StrCat("g", g))});
+  }
+  Table* edge = db.catalog()->GetTable("edge");
+  for (int i = 0; i < 40; ++i) {
+    edge->AppendUnchecked(Row{Value::Int(i), Value::Int(i + 1)});
+  }
+  ASSERT_TRUE(db.Execute("ANALYZE").ok());
+
+  struct Case {
+    const char* kind;
+    const char* sql;
+    ExecutionStrategy strategy;
+  };
+  const std::vector<Case> cases = {
+      {"hash join",
+       "SELECT f.id, d.label FROM fact f, dim d "
+       "WHERE f.grp = d.grp AND f.amount > 20",
+       ExecutionStrategy::kOriginal},
+      {"correlated subquery",
+       "SELECT f.id FROM fact f WHERE f.amount > "
+       "(SELECT AVG(g.amount) FROM fact g WHERE g.grp = f.grp)",
+       ExecutionStrategy::kCorrelated},
+      {"group by",
+       "SELECT grp, COUNT(*), SUM(amount) FROM fact GROUP BY grp",
+       ExecutionStrategy::kOriginal},
+      {"recursive closure", "SELECT src, dst FROM tc",
+       ExecutionStrategy::kOriginal},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.kind);
+    const QueryOptions qopts(c.strategy);
+    auto p = db.Explain(c.sql, qopts);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    std::optional<RunOutcome> baseline;
+    for (int threads : {1, 4}) {
+      std::optional<GovernorStats> governed_baseline;
+      for (int mask = 0; mask < 16; ++mask) {
+        const bool governed = mask & 1;
+        const bool tracked = mask & 2;
+        const bool traced = mask & 4;
+        const bool box_stats = mask & 8;
+        const std::string label = StrCat("threads=", threads,
+                                         " governor=", governed,
+                                         " progress=", tracked,
+                                         " tracer=", traced,
+                                         " box_stats=", box_stats);
+        ResourceGovernor governor(ResourceBudget::Unlimited());
+        ProgressTracker progress(1, c.sql);
+        Tracer tracer(traced);
+        ExecOptions eo;
+        eo.memoize_correlation = c.strategy != ExecutionStrategy::kCorrelated;
+        eo.num_threads = threads;
+        eo.morsel_size = 16;
+        eo.governor = governed ? &governor : nullptr;
+        eo.progress = tracked ? &progress : nullptr;
+        eo.tracer = &tracer;
+        eo.collect_box_stats = box_stats;
+        RunOutcome out;
+        {
+          Executor executor(p->graph.get(), db.catalog(), eo);
+          auto t = executor.Run();
+          ASSERT_TRUE(t.ok()) << label << " -> " << t.status().ToString();
+          out.table = std::move(t.value());
+          out.stats = executor.stats();
+          out.box_stats = executor.box_stats();
+        }
+        if (!baseline.has_value()) {
+          ASSERT_GT(out.table.num_rows(), 0);
+          baseline = std::move(out);
+          continue;
+        }
+        ExpectSameRowsInOrder(baseline->table, out.table, label);
+        ExpectSameStats(baseline->stats, out.stats, label);
+        if (box_stats) {
+          int64_t rows_out = 0;
+          for (const auto& [id, b] : out.box_stats) rows_out += b.rows_out;
+          EXPECT_EQ(rows_out, out.stats.rows_produced) << label;
+        }
+        if (traced) {
+          EXPECT_FALSE(tracer.spans().empty()) << label;
+        }
+        if (tracked) {
+          EXPECT_EQ(progress.Snapshot().fixpoint_round,
+                    out.stats.fixpoint_iterations)
+              << label;
+        }
+        if (!governed) continue;
+        // Governor state is compared within one thread count: worker
+        // morsel checkpoints only exist with a pool.
+        GovernorStats g = governor.Stats();
+        EXPECT_EQ(governor.used_bytes(), 0) << label;
+        if (!governed_baseline.has_value()) {
+          ASSERT_GT(g.peak_bytes, 0);
+          ASSERT_GT(g.cancel_checks, 0);
+          governed_baseline = g;
+          continue;
+        }
+        EXPECT_EQ(g.peak_bytes, governed_baseline->peak_bytes) << label;
+        EXPECT_EQ(g.cancel_checks, governed_baseline->cancel_checks) << label;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
